@@ -27,8 +27,7 @@ void quantize_into(std::span<const float> values, double scale,
 
 }  // namespace
 
-support::StatusOr<MicroEngine::GemmJob> MicroEngine::decode(
-    const ContextRegs& regs) const {
+GemmJob GemmJob::read(const ContextRegs& regs) {
   GemmJob job;
   job.m = regs.read(Reg::kM);
   job.n = regs.read(Reg::kN);
@@ -48,7 +47,11 @@ support::StatusOr<MicroEngine::GemmJob> MicroEngine::decode(
   job.double_buffering = (flags & JobFlags::kDoubleBuffering) != 0;
   job.skip_weight_load = (flags & JobFlags::kSkipWeightLoad) != 0;
   job.tile_row0 = static_cast<std::uint32_t>(regs.read(Reg::kTileRow));
+  return job;
+}
 
+support::StatusOr<GemmJob> MicroEngine::decode(const ContextRegs& regs) const {
+  const GemmJob job = GemmJob::read(regs);
   if (job.m == 0 || job.n == 0 || job.k == 0) {
     return support::invalid_argument("zero GEMM dimension");
   }
@@ -61,6 +64,20 @@ support::StatusOr<MicroEngine::GemmJob> MicroEngine::decode(
   return job;
 }
 
+bool MicroEngine::holds(const GemmJob& job) const {
+  const StationaryTile* resident = programmed_tile(job.tile_row0);
+  return resident != nullptr && *resident == job.stationary_tile();
+}
+
+support::Status MicroEngine::check_fits(const GemmJob& job) const {
+  const StationaryTile tile = job.stationary_tile();
+  if (job.tile_row0 + tile.rows > tile_.rows() || tile.cols > tile_.cols()) {
+    return support::invalid_argument(
+        "operand tile exceeds crossbar geometry; the caller must tile");
+  }
+  return support::Status::ok();
+}
+
 void MicroEngine::invalidate_rows(std::uint32_t row0, std::uint64_t rows) {
   for (auto it = programmed_.begin(); it != programmed_.end();) {
     const std::uint64_t lo = it->first;
@@ -71,53 +88,42 @@ void MicroEngine::invalidate_rows(std::uint32_t row0, std::uint64_t rows) {
 }
 
 MicroEngine::WeightPhase MicroEngine::load_weights(const GemmJob& job) {
-  const bool stationary_b = job.stationary == StationaryOperand::kB;
-  const std::uint64_t tile_rows = job.k;
-  const std::uint64_t tile_cols = stationary_b ? job.n : job.m;
-  const double scale = stationary_b ? job.scale_b : job.scale_a;
-
+  const StationaryTile tile = job.stationary_tile();
   // Reuse check: within a batched job the compiler-fused "smart mapping"
   // shares the stationary operand (Section III-B "we exploit this by writing
   // only A in the crossbar"); across jobs the runtime's weight-residency
   // cache requests reuse of a tile it believes resident at this row window.
   // Either way the engine validates against its own records, so a stale or
   // wrong request degrades into a reprogram, never into wrong results.
-  const std::uint64_t pa = stationary_b ? job.pa_b : job.pa_a;
-  const std::uint64_t ld = stationary_b ? job.ldb : job.lda;
-  if (job.skip_weight_load) {
-    const ProgrammedTile* resident = programmed_tile(job.tile_row0);
-    if (resident != nullptr && resident->pa == pa && resident->scale == scale &&
-        resident->rows == tile_rows && resident->cols == tile_cols &&
-        resident->layout == job.stationary && resident->ld == ld) {
-      TDO_LOG(kDebug, "cim.engine") << "stationary tile reuse at row "
-                                    << job.tile_row0 << ", skipping "
-                                    << tile_rows << " row programs";
-      weight_writes_saved8_.add(tile_rows * tile_cols);
-      return WeightPhase{};
-    }
+  if (job.skip_weight_load && holds(job)) {
+    TDO_LOG(kDebug, "cim.engine") << "stationary tile reuse at row "
+                                  << job.tile_row0 << ", skipping "
+                                  << tile.rows << " row programs";
+    weight_writes_saved8_.add(tile.rows * tile.cols);
+    return WeightPhase{};
   }
-  invalidate_rows(job.tile_row0, tile_rows);
+  invalidate_rows(job.tile_row0, tile.rows);
 
-  std::vector<float> row_f(tile_cols);
+  std::vector<float> row_f(tile.cols);
   std::vector<std::int8_t> row_q;
   Duration fill_done = Duration::zero();
   Duration prog_done = Duration::zero();
   Duration dma_total = Duration::zero();
 
-  for (std::uint64_t r = 0; r < tile_rows; ++r) {
+  for (std::uint64_t r = 0; r < tile.rows; ++r) {
     Duration dma_time;
     auto bytes = std::as_writable_bytes(std::span<float>(row_f));
     auto u8 = std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(bytes.data()),
                                       bytes.size());
-    if (stationary_b) {
+    if (tile.layout == StationaryOperand::kB) {
       // Row r of B is contiguous: B[r][0..n).
-      dma_time = dma_.read_block(job.pa_b + r * job.ldb * 4, u8);
+      dma_time = dma_.read_block(tile.pa + r * tile.ld * 4, u8);
     } else {
       // Row r of A^T is column r of A: stride lda floats.
-      dma_time = dma_.read_strided(job.pa_a + r * 4, job.lda * 4, 4,
-                                   static_cast<std::uint32_t>(tile_cols), u8);
+      dma_time = dma_.read_strided(tile.pa + r * 4, tile.ld * 4, 4,
+                                   static_cast<std::uint32_t>(tile.cols), u8);
     }
-    quantize_into(row_f, scale, row_q);
+    quantize_into(row_f, tile.scale, row_q);
     (void)tile_.program_row(job.tile_row0 + static_cast<std::uint32_t>(r), row_q);
 
     dma_total = dma_total + dma_time;
@@ -131,9 +137,8 @@ MicroEngine::WeightPhase MicroEngine::load_weights(const GemmJob& job) {
     }
   }
 
-  programmed_[job.tile_row0] =
-      ProgrammedTile{pa, scale, tile_rows, tile_cols, job.stationary, ld};
-  return WeightPhase{prog_done, dma_total, tile_rows * tile_cols * 4};
+  programmed_[job.tile_row0] = tile;
+  return WeightPhase{prog_done, dma_total, tile.rows * tile.cols * 4};
 }
 
 MicroEngine::StreamPhase MicroEngine::stream_vectors(const GemmJob& job) {
@@ -223,13 +228,7 @@ MicroEngine::StreamPhase MicroEngine::stream_vectors(const GemmJob& job) {
 
 support::StatusOr<MicroEngine::PhaseTimes> MicroEngine::run_gemm(
     const GemmJob& job) {
-  const bool stationary_b = job.stationary == StationaryOperand::kB;
-  const std::uint64_t tile_rows = job.k;
-  const std::uint64_t tile_cols = stationary_b ? job.n : job.m;
-  if (job.tile_row0 + tile_rows > tile_.rows() || tile_cols > tile_.cols()) {
-    return support::invalid_argument(
-        "operand tile exceeds crossbar geometry; the caller must tile");
-  }
+  TDO_RETURN_IF_ERROR(check_fits(job));
   PhaseTimes times;
   const WeightPhase weights = load_weights(job);
   times.weights = weights.total;
@@ -252,28 +251,17 @@ support::Duration MicroEngine::estimate_prefetch_dma(
   if (!job.is_ok()) return Duration::zero();
   if (!job->double_buffering) return Duration::zero();
 
-  const bool stationary_b = job->stationary == StationaryOperand::kB;
-  const std::uint64_t tile_rows = job->k;
-  const std::uint64_t tile_cols = stationary_b ? job->n : job->m;
   // A reuse request the engine expects to validate skips the weight DMA
   // entirely. Batched jobs carry per-entry pointers the estimate cannot see,
   // so only the explicit skip flag (residency-validated) counts for them.
-  if (job->skip_weight_load) {
-    if (op == Opcode::kGemmBatched) return Duration::zero();
-    const double scale = stationary_b ? job->scale_b : job->scale_a;
-    const std::uint64_t pa = stationary_b ? job->pa_b : job->pa_a;
-    const std::uint64_t ld = stationary_b ? job->ldb : job->lda;
-    const ProgrammedTile* resident = programmed_tile(job->tile_row0);
-    if (resident != nullptr && resident->pa == pa && resident->scale == scale &&
-        resident->rows == tile_rows && resident->cols == tile_cols &&
-        resident->layout == job->stationary && resident->ld == ld) {
-      return Duration::zero();
-    }
+  if (job->skip_weight_load && (op == Opcode::kGemmBatched || holds(*job))) {
+    return Duration::zero();
   }
-  const Duration per_row = stationary_b
-                               ? dma_.estimate_block(tile_cols * 4)
-                               : dma_.estimate_strided(tile_cols * 4);
-  return per_row * static_cast<double>(tile_rows);
+  const StationaryTile tile = job->stationary_tile();
+  const Duration per_row = tile.layout == StationaryOperand::kB
+                               ? dma_.estimate_block(tile.cols * 4)
+                               : dma_.estimate_strided(tile.cols * 4);
+  return per_row * static_cast<double>(tile.rows);
 }
 
 support::Duration MicroEngine::estimate_stream_dma(
@@ -408,14 +396,7 @@ JobTimeline MicroEngine::launch(ContextRegs& regs,
       // of peer-to-peer residency migration.
       auto job = decode(regs);
       if (!job.is_ok()) return fail(job.status());
-      const bool stationary_b = job->stationary == StationaryOperand::kB;
-      const std::uint64_t tile_rows = job->k;
-      const std::uint64_t tile_cols = stationary_b ? job->n : job->m;
-      if (job->tile_row0 + tile_rows > tile_.rows() ||
-          tile_cols > tile_.cols()) {
-        return fail(support::invalid_argument(
-            "operand tile exceeds crossbar geometry; the caller must tile"));
-      }
+      if (const auto fits = check_fits(*job); !fits.is_ok()) return fail(fits);
       const WeightPhase weights = load_weights(*job);
       weight_phase += weights.total;
       total = weight_phase;

@@ -68,6 +68,43 @@ struct JobTimeline {
   }
 };
 
+/// The stationary tile a job programs into (or expects resident in) its
+/// crossbar row window: where the operand lives, its quantization scale and
+/// its crossbar geometry (rows = the reduction length k; cols = n under
+/// stationary B, m under stationary A).
+struct StationaryTile {
+  std::uint64_t pa = 0;
+  std::uint64_t ld = 0;
+  double scale = 1.0;
+  std::uint64_t rows = 0;
+  std::uint64_t cols = 0;
+  StationaryOperand layout = StationaryOperand::kB;
+
+  bool operator==(const StationaryTile&) const = default;
+};
+
+/// Fields of a compute job's register image (kGemm, kGemv, kGemmBatched,
+/// kProgram).
+struct GemmJob {
+  std::uint64_t m = 0, n = 0, k = 0;
+  std::uint64_t pa_a = 0, pa_b = 0, pa_c = 0;
+  std::uint64_t lda = 0, ldb = 0, ldc = 0;
+  float alpha = 1.0f, beta = 0.0f;
+  double scale_a = 1.0, scale_b = 1.0;
+  StationaryOperand stationary = StationaryOperand::kB;
+  bool double_buffering = true;
+  bool skip_weight_load = false;
+  std::uint32_t tile_row0 = 0;  ///< crossbar row window of the stationary tile
+
+  /// Reads the fields without validating them (MicroEngine::decode does).
+  [[nodiscard]] static GemmJob read(const ContextRegs& regs);
+  [[nodiscard]] StationaryTile stationary_tile() const {
+    return stationary == StationaryOperand::kB
+               ? StationaryTile{pa_b, ldb, scale_b, k, n, stationary}
+               : StationaryTile{pa_a, lda, scale_a, k, m, stationary};
+  }
+};
+
 struct MicroEngineParams {
   /// Context-register decode + control setup before the first DMA.
   support::Duration job_setup = support::Duration::from_ns(100);
@@ -114,20 +151,11 @@ class MicroEngine {
   [[nodiscard]] support::Duration estimate_stream_dma(
       const ContextRegs& image) const;
 
-  /// Identity of a stationary tile programmed into one crossbar row window
-  /// (for reuse detection within batched jobs, across jobs for the runtime's
-  /// weight-residency cache, and for tests).
-  struct ProgrammedTile {
-    std::uint64_t pa = 0;
-    double scale = 1.0;
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    StationaryOperand layout = StationaryOperand::kB;
-    std::uint64_t ld = 0;
-  };
-  /// Tile programmed at crossbar row window starting at `row0`, if any.
-  /// Several tiles stay resident simultaneously in disjoint row windows.
-  [[nodiscard]] const ProgrammedTile* programmed_tile(std::uint32_t row0 = 0) const {
+  /// Tile programmed at crossbar row window starting at `row0`, if any (for
+  /// reuse detection within batched jobs, across jobs for the runtime's
+  /// weight-residency cache, and for tests). Several tiles stay resident
+  /// simultaneously in disjoint row windows.
+  [[nodiscard]] const StationaryTile* programmed_tile(std::uint32_t row0 = 0) const {
     const auto it = programmed_.find(row0);
     return it == programmed_.end() ? nullptr : &it->second;
   }
@@ -150,19 +178,12 @@ class MicroEngine {
   }
 
  private:
-  struct GemmJob {
-    std::uint64_t m = 0, n = 0, k = 0;
-    std::uint64_t pa_a = 0, pa_b = 0, pa_c = 0;
-    std::uint64_t lda = 0, ldb = 0, ldc = 0;
-    float alpha = 1.0f, beta = 0.0f;
-    double scale_a = 1.0, scale_b = 1.0;
-    StationaryOperand stationary = StationaryOperand::kB;
-    bool double_buffering = true;
-    bool skip_weight_load = false;
-    std::uint32_t tile_row0 = 0;  ///< crossbar row window of the stationary tile
-  };
-
   [[nodiscard]] support::StatusOr<GemmJob> decode(const ContextRegs& regs) const;
+
+  /// Whether the job's stationary tile is the one resident at its row window.
+  [[nodiscard]] bool holds(const GemmJob& job) const;
+  /// Rejects a stationary tile that overruns the crossbar.
+  [[nodiscard]] support::Status check_fits(const GemmJob& job) const;
 
   /// Runs one GEMM; returns (weight_phase, stream_phase) durations plus the
   /// pure-DMA shares of each phase (what occupies the engine's DMA channel).
@@ -198,7 +219,7 @@ class MicroEngine {
   sim::EventQueue& events_;
   EnergySinks sinks_;
   /// Resident stationary tiles, keyed by crossbar row-window start.
-  std::map<std::uint32_t, ProgrammedTile> programmed_;
+  std::map<std::uint32_t, StationaryTile> programmed_;
   support::Counter weight_writes_saved8_;
 };
 

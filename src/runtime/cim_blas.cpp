@@ -11,7 +11,18 @@ namespace tdo::rt {
 
 namespace {
 constexpr std::uint64_t kElem = 4;  // sizeof(float)
+
+/// Host-stores one device-fetched table entry at `pa` (charged).
+template <typename Entry>
+void store_entry(sim::System& system, sim::PhysAddr pa, const Entry& entry) {
+  system.memory().write(
+      pa, std::span(reinterpret_cast<const std::uint8_t*>(&entry),
+                    sizeof entry));
+  for (std::uint64_t w = 0; w < sizeof entry; w += 8) {
+    system.cpu().store(pa + w, 8);
+  }
 }
+}  // namespace
 
 CimRuntime::CimRuntime(RuntimeConfig config, sim::System& system,
                        cim::Accelerator& accel)
@@ -107,11 +118,6 @@ support::Status CimRuntime::sync_for_operands(std::span<const Rect> reads,
   return synchronize();
 }
 
-support::Status CimRuntime::copy(CopyDesc::Dir dir, sim::VirtAddr dst,
-                                 sim::VirtAddr src, std::uint64_t bytes) {
-  return copy_view(dir, dst, src, bytes, bytes, 1);
-}
-
 support::Status CimRuntime::copy_view(CopyDesc::Dir dir, sim::VirtAddr dst,
                                       sim::VirtAddr src, std::uint64_t pitch,
                                       std::uint64_t width, std::uint64_t rows) {
@@ -153,8 +159,6 @@ support::Status CimRuntime::copy_view(CopyDesc::Dir dir, sim::VirtAddr dst,
         driver_->alloc_buffer(desc.segments.size() * sizeof(cim::CopySegEntry));
     if (staging.is_ok()) {
       staging_.push_back(*staging);
-      auto& mem = system_.memory();
-      auto& cpu = system_.cpu();
       std::uint64_t offset = 0;
       for (const CopySeg& seg : desc.segments) {
         cim::CopySegEntry entry;
@@ -164,12 +168,7 @@ support::Status CimRuntime::copy_view(CopyDesc::Dir dir, sim::VirtAddr dst,
         entry.dst_pitch = seg.dst.pitch;
         entry.width = seg.src.width;
         entry.rows = seg.src.rows;
-        mem.write(staging->pa + offset,
-                  std::span(reinterpret_cast<const std::uint8_t*>(&entry),
-                            sizeof entry));
-        for (std::uint64_t w = 0; w < sizeof entry; w += 8) {
-          cpu.store(staging->pa + offset + w, 8);
-        }
+        store_entry(system_, staging->pa + offset, entry);
         offset += sizeof entry;
       }
       desc.table_pa = staging->pa;
@@ -289,7 +288,7 @@ support::StatusOr<bool> CimRuntime::striped_copy_back(const CopyDesc& desc) {
 
 support::Status CimRuntime::host_to_dev(sim::VirtAddr dst, sim::VirtAddr src,
                                         std::uint64_t bytes) {
-  return copy(CopyDesc::Dir::kHostToDev, dst, src, bytes);
+  return copy_view(CopyDesc::Dir::kHostToDev, dst, src, bytes, bytes, 1);
 }
 
 void CimRuntime::invalidate_scales(sim::VirtAddr va, std::uint64_t bytes) {
@@ -304,7 +303,7 @@ void CimRuntime::invalidate_scales(sim::VirtAddr va, std::uint64_t bytes) {
 
 support::Status CimRuntime::dev_to_host(sim::VirtAddr dst, sim::VirtAddr src,
                                         std::uint64_t bytes) {
-  return copy(CopyDesc::Dir::kDevToHost, dst, src, bytes);
+  return copy_view(CopyDesc::Dir::kDevToHost, dst, src, bytes, bytes, 1);
 }
 
 support::Status CimRuntime::host_to_dev_2d(sim::VirtAddr dst, sim::VirtAddr src,
@@ -321,49 +320,48 @@ support::Status CimRuntime::dev_to_host_2d(sim::VirtAddr dst, sim::VirtAddr src,
   return copy_view(CopyDesc::Dir::kDevToHost, dst, src, pitch, width, rows);
 }
 
-support::StatusOr<sim::PhysAddr> CimRuntime::translate_checked(
-    sim::VirtAddr va, std::uint64_t bytes) const {
-  if (!system_.mmu().is_contiguous(va, bytes)) {
+support::Status CimRuntime::locate(Operand& op) const {
+  const std::uint64_t bytes = ((op.rows - 1) * op.ld + op.cols) * kElem;
+  if (!system_.mmu().is_contiguous(op.va, bytes)) {
     return support::failed_precondition(
         "CIM operands must live in physically contiguous device buffers");
   }
-  return system_.mmu().translate(va);
+  const auto pa = system_.mmu().translate(op.va);
+  if (!pa.is_ok()) return pa.status();
+  op.rect = Rect{*pa, op.ld * kElem, op.cols * kElem, op.rows};
+  return support::Status::ok();
 }
 
-support::StatusOr<double> CimRuntime::operand_max_abs(sim::VirtAddr va,
-                                                      std::uint64_t rows,
-                                                      std::uint64_t row_len,
-                                                      std::uint64_t ld) {
+support::Status CimRuntime::scan(Operand& op) {
   if (config_.scale_mode == ScaleMode::kStatic) {
-    return config_.static_max_abs;
+    op.scale = support::QuantScale::for_max_abs(config_.static_max_abs).scale;
+    return support::Status::ok();
   }
   // Per-buffer granularity: when the operand is a sub-view of one device
   // buffer, scan (and cache) the whole buffer once. A whole-buffer max-abs
   // is a valid (if slightly coarser) scale for any sub-view, and it is what
   // per-tensor-scale runtimes do in practice.
-  const std::uint64_t extent = ((rows - 1) * ld + row_len) * kElem;
+  Operand view = op;
+  const std::uint64_t extent = ((op.rows - 1) * op.ld + op.cols) * kElem;
   for (const DeviceBuffer& buffer : buffers_) {
-    if (va >= buffer.va && va + extent <= buffer.va + buffer.bytes) {
-      va = buffer.va;
-      rows = 1;
-      row_len = buffer.bytes / kElem;
-      ld = row_len;
+    if (op.va >= buffer.va && op.va + extent <= buffer.va + buffer.bytes) {
+      view = Operand{buffer.va, 1, buffer.bytes / kElem, buffer.bytes / kElem};
       break;
     }
   }
-  const ScaleKey key{va, rows, row_len, ld};
+  const ScaleKey key{view.va, view.rows, view.cols, view.ld};
   if (const auto it = scale_cache_.find(key); it != scale_cache_.end()) {
-    return it->second;
+    op.scale = it->second;
+    return support::Status::ok();
   }
   stats_.scale_scans += 1;
+  TDO_RETURN_IF_ERROR(locate(view));
   auto& cpu = system_.cpu();
   auto& mem = system_.memory();
-  const auto base_pa = translate_checked(va, ((rows - 1) * ld + row_len) * kElem);
-  if (!base_pa.is_ok()) return base_pa.status();
   double max_abs = 0.0;
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    const sim::PhysAddr row_pa = *base_pa + r * ld * kElem;
-    for (std::uint64_t c = 0; c < row_len; ++c) {
+  for (std::uint64_t r = 0; r < view.rows; ++r) {
+    const sim::PhysAddr row_pa = view.rect.base + r * view.rect.pitch;
+    for (std::uint64_t c = 0; c < view.cols; ++c) {
       const float v = mem.read_scalar<float>(row_pa + c * kElem);
       max_abs = std::max(max_abs, static_cast<double>(std::fabs(v)));
       cpu.load(row_pa + c * kElem);
@@ -371,8 +369,8 @@ support::StatusOr<double> CimRuntime::operand_max_abs(sim::VirtAddr va,
     }
   }
   if (max_abs == 0.0) max_abs = 1.0;  // all-zero operand: any scale is exact
-  scale_cache_[key] = max_abs;
-  return max_abs;
+  op.scale = scale_cache_[key] = support::QuantScale::for_max_abs(max_abs).scale;
+  return support::Status::ok();
 }
 
 cim::ContextRegs CimRuntime::make_job_image(
@@ -380,9 +378,9 @@ cim::ContextRegs CimRuntime::make_job_image(
     sim::PhysAddr pa_a, std::uint64_t lda, sim::PhysAddr pa_b, std::uint64_t ldb,
     sim::PhysAddr pa_c, std::uint64_t ldc, double scale_a, double scale_b,
     cim::StationaryOperand stationary, bool skip_weight_load,
-    std::uint32_t tile_row0) const {
+    std::uint32_t tile_row0, cim::Opcode opcode) const {
   cim::ContextRegs image;
-  image.write(cim::Reg::kOpcode, static_cast<std::uint64_t>(cim::Opcode::kGemm));
+  image.write(cim::Reg::kOpcode, static_cast<std::uint64_t>(opcode));
   image.write(cim::Reg::kM, m);
   image.write(cim::Reg::kN, n);
   image.write(cim::Reg::kK, k);
@@ -394,8 +392,8 @@ cim::ContextRegs CimRuntime::make_job_image(
   image.write(cim::Reg::kLdc, ldc);
   image.write_f32(cim::Reg::kAlpha, alpha);
   image.write_f32(cim::Reg::kBeta, beta);
-  image.write_f64(cim::Reg::kScaleA, support::QuantScale::for_max_abs(scale_a).scale);
-  image.write_f64(cim::Reg::kScaleB, support::QuantScale::for_max_abs(scale_b).scale);
+  image.write_f64(cim::Reg::kScaleA, scale_a);
+  image.write_f64(cim::Reg::kScaleB, scale_b);
   image.write(cim::Reg::kStationary, static_cast<std::uint64_t>(stationary));
   image.write(cim::Reg::kTileRow, tile_row0);
   std::uint64_t flags = 0;
@@ -464,46 +462,19 @@ CimRuntime::TilePlacement CimRuntime::place_tile(bool use_cache,
 
 cim::ContextRegs CimRuntime::make_program_image(const WeightKey& key,
                                                 std::uint32_t row0) const {
-  const bool stationary_b = key.layout == cim::StationaryOperand::kB;
-  cim::ContextRegs image;
-  image.write(cim::Reg::kOpcode,
-              static_cast<std::uint64_t>(cim::Opcode::kProgram));
   // Dimensions that decode() accepts and that land the stationary tile as
   // key.rows x key.cols: the moving operands are never dereferenced (no
   // stream phase), so they alias the stationary pointer.
+  const sim::PhysAddr pa = key.rect.base;
   const std::uint64_t k = key.rows;
-  const std::uint64_t n = stationary_b ? key.cols : 1;
-  const std::uint64_t m = stationary_b ? 1 : key.cols;
-  image.write(cim::Reg::kM, m);
-  image.write(cim::Reg::kN, n);
-  image.write(cim::Reg::kK, k);
-  if (stationary_b) {
-    image.write(cim::Reg::kPaB, key.rect.base);
-    image.write(cim::Reg::kLdb, key.ld);
-    image.write_f64(cim::Reg::kScaleB, key.scale);
-    image.write(cim::Reg::kPaA, key.rect.base);
-    image.write(cim::Reg::kLda, std::max<std::uint64_t>(k, 1));
-    image.write_f64(cim::Reg::kScaleA, 1.0);
-    image.write(cim::Reg::kPaC, key.rect.base);
-    image.write(cim::Reg::kLdc, n);
-  } else {
-    image.write(cim::Reg::kPaA, key.rect.base);
-    image.write(cim::Reg::kLda, key.ld);
-    image.write_f64(cim::Reg::kScaleA, key.scale);
-    image.write(cim::Reg::kPaB, key.rect.base);
-    image.write(cim::Reg::kLdb, 1);
-    image.write_f64(cim::Reg::kScaleB, 1.0);
-    image.write(cim::Reg::kPaC, key.rect.base);
-    image.write(cim::Reg::kLdc, 1);
-  }
-  image.write_f32(cim::Reg::kAlpha, 1.0f);
-  image.write_f32(cim::Reg::kBeta, 0.0f);
-  image.write(cim::Reg::kStationary, static_cast<std::uint64_t>(key.layout));
-  image.write(cim::Reg::kTileRow, row0);
-  std::uint64_t flags = 0;
-  if (config_.double_buffering) flags |= cim::JobFlags::kDoubleBuffering;
-  image.write(cim::Reg::kFlags, flags);
-  return image;
+  return key.layout == cim::StationaryOperand::kB
+             ? make_job_image(1, key.cols, k, 1.0f, 0.0f, pa,
+                              std::max<std::uint64_t>(k, 1), pa, key.ld, pa,
+                              key.cols, 1.0, key.scale, key.layout, false, row0,
+                              cim::Opcode::kProgram)
+             : make_job_image(key.cols, 1, k, 1.0f, 0.0f, pa, key.ld, pa, 1,
+                              pa, 1, key.scale, 1.0, key.layout, false, row0,
+                              cim::Opcode::kProgram);
 }
 
 void CimRuntime::prefetch_predicted(const WeightKey& current, int device) {
@@ -677,6 +648,144 @@ support::Status CimRuntime::sgemm_with_stationary(
   return synchronize();
 }
 
+CimRuntime::TilePlan CimRuntime::gemm_plan(
+    std::uint64_t m, std::uint64_t n, std::uint64_t k,
+    cim::StationaryOperand stationary) const {
+  // Stationary B: k x n tiles, rows of A stream. Stationary A: tiles of A^T
+  // (k x m), columns of B stream.
+  const bool stationary_b = stationary == cim::StationaryOperand::kB;
+  return TilePlan{.layout = stationary,
+                  .reduce = k,
+                  .out = stationary_b ? n : m,
+                  .stream = stationary_b ? m : n,
+                  .tile_rows = accel_.tile().rows(),
+                  .tile_cols = accel_.tile().cols()};
+}
+
+CimRuntime::TilePlan CimRuntime::gemv_plan(bool transpose, std::uint64_t m,
+                                           std::uint64_t n) const {
+  // y = A x keeps A^T stationary (reduce n, out m); y = A^T x keeps A itself
+  // (reduce m, out n). Either way one vector streams.
+  TilePlan plan = transpose ? gemm_plan(1, n, m, cim::StationaryOperand::kB)
+                            : gemm_plan(m, 1, n, cim::StationaryOperand::kA);
+  plan.vector_out = true;
+  return plan;
+}
+
+void CimRuntime::TilePlan::bind(const Operand& stationary) {
+  stat = stationary.rect.base;
+  stat_ld = stationary.ld;
+  stat_scale = stationary.scale;
+}
+
+void CimRuntime::TilePlan::bind(const Operand& stationary,
+                                const Operand& moving, const Operand& output) {
+  bind(stationary);
+  mov = moving.rect.base;
+  mov_ld = moving.ld;
+  mov_scale = moving.scale;
+  dst = output.rect.base;
+  dst_ld = output.ld;
+}
+
+WeightKey CimRuntime::TilePlan::key(std::uint64_t kk, std::uint64_t ks,
+                                    std::uint64_t jj, std::uint64_t js) const {
+  const Rect rect =
+      layout == cim::StationaryOperand::kB
+          ? Rect{stat + (kk * stat_ld + jj) * kElem, stat_ld * kElem,
+                 js * kElem, ks}
+          : Rect{stat + (jj * stat_ld + kk) * kElem, stat_ld * kElem,
+                 ks * kElem, js};
+  return WeightKey{rect, stat_ld, stat_scale, layout,
+                   static_cast<std::uint32_t>(ks),
+                   static_cast<std::uint32_t>(js)};
+}
+
+std::vector<WeightKey> CimRuntime::TilePlan::keys() const {
+  std::vector<WeightKey> all;
+  for (std::uint64_t jj = 0; jj < out; jj += tile_cols) {
+    for (std::uint64_t kk = 0; kk < reduce; kk += tile_rows) {
+      all.push_back(key(kk, std::min(tile_rows, reduce - kk), jj,
+                        std::min(tile_cols, out - jj)));
+    }
+  }
+  return all;
+}
+
+support::Status CimRuntime::begin_call(Operand& a, Operand& b, Operand& c) {
+  TDO_RETURN_IF_ERROR(locate(a));
+  TDO_RETURN_IF_ERROR(locate(b));
+  TDO_RETURN_IF_ERROR(locate(c));
+  // Exact operand footprints: {base, pitch, width, rows} rectangles rather
+  // than flat byte ranges, so the disjoint column stripes of different calls
+  // never force a hazard synchronization.
+  TDO_RETURN_IF_ERROR(sync_for_operands({a.rect, b.rect}, {c.rect}));
+  TDO_RETURN_IF_ERROR(scan(a));
+  TDO_RETURN_IF_ERROR(scan(b));
+  invalidate_scales(c.va, c.rect.span_end() - c.rect.base);
+  // The output is a host-visible write like any other: a cached stationary
+  // tile backed by memory this call overwrites must die.
+  residency_->invalidate_overlapping(c.rect);
+  stream_->note_read(a.rect);
+  stream_->note_read(b.rect);
+  return support::Status::ok();
+}
+
+support::Status CimRuntime::run_plan(const TilePlan& plan, bool use_cache) {
+  const bool stationary_b = plan.layout == cim::StationaryOperand::kB;
+  const std::vector<WeightKey> keys = plan.keys();
+  const std::size_t per_stripe =
+      (plan.reduce + plan.tile_rows - 1) / plan.tile_rows;
+  for (std::size_t first = 0; first < keys.size(); first += per_stripe) {
+    // Each stripe is element-disjoint in the output, so stripes round-robin
+    // across accelerators (and are tracked per device for per-stripe
+    // copy-back); the accumulation chain stays on one queue. A stripe whose
+    // weights are resident on some accelerator lands there instead —
+    // affinity routing makes the reuse request actually hit.
+    const std::span<const WeightKey> stripe(keys.data() + first, per_stripe);
+    const std::uint64_t jj = first / per_stripe * plan.tile_cols;
+    const std::uint64_t js = stripe.front().cols;
+    const int device =
+        stationary_device(use_cache ? stripe : std::span<const WeightKey>{});
+    const sim::PhysAddr dst =
+        plan.dst + (stationary_b ? jj : jj * plan.dst_ld) * kElem;
+    const Rect written =
+        plan.vector_out ? Rect::linear(dst, js * kElem)
+        : stationary_b  ? Rect{dst, plan.dst_ld * kElem, js * kElem, plan.stream}
+                        : Rect{dst, plan.dst_ld * kElem, plan.stream * kElem, js};
+    stream_->note_write(written, device);
+    for (std::size_t t = 0; t < stripe.size(); ++t) {
+      const WeightKey& key = stripe[t];
+      const std::uint64_t kk = t * plan.tile_rows;
+      const TilePlacement tile = place_tile(use_cache, key, device);
+      // Migrated tiles: the destination crossbar was programmed from the
+      // peer-to-peer staging copy, so the job's stationary pointer must
+      // reference it for the device-side validation to match.
+      const bool shadow = tile.skip && tile.migrated;
+      const sim::PhysAddr stat = shadow ? tile.shadow_base : key.rect.base;
+      const std::uint64_t stat_ld = shadow ? tile.shadow_ld : key.ld;
+      const sim::PhysAddr mov =
+          plan.mov + (stationary_b ? kk : kk * plan.mov_ld) * kElem;
+      const float beta = kk == 0 ? plan.beta : 1.0f;
+      const auto image =
+          stationary_b
+              ? make_job_image(plan.stream, js, key.rows, plan.alpha, beta, mov,
+                               plan.mov_ld, stat, stat_ld, dst, plan.dst_ld,
+                               plan.mov_scale, plan.stat_scale, plan.layout,
+                               tile.skip, tile.row0)
+              : make_job_image(js, plan.stream, key.rows, plan.alpha, beta,
+                               stat, stat_ld, mov, plan.mov_ld, dst,
+                               plan.dst_ld, plan.stat_scale, plan.mov_scale,
+                               plan.layout, tile.skip, tile.row0);
+      TDO_RETURN_IF_ERROR(enqueue_job(image, plan.stream * js * key.rows,
+                                      tile.skip ? 0 : key.rows * js, device,
+                                      /*allow_cpu_fallback=*/kk == 0));
+    }
+    if (use_cache) prefetch_predicted(stripe.back(), device);
+  }
+  return support::Status::ok();
+}
+
 support::Status CimRuntime::sgemm_async(std::uint64_t m, std::uint64_t n,
                                         std::uint64_t k, float alpha,
                                         sim::VirtAddr a, std::uint64_t lda,
@@ -693,183 +802,59 @@ support::Status CimRuntime::sgemm_async(std::uint64_t m, std::uint64_t n,
   }
   stats_.offload_calls += 1;
 
-  const std::uint64_t a_bytes = ((m - 1) * lda + k) * kElem;
-  const std::uint64_t b_bytes = ((k - 1) * ldb + n) * kElem;
-  const std::uint64_t c_bytes = ((m - 1) * ldc + n) * kElem;
-  const auto pa_a = translate_checked(a, a_bytes);
-  if (!pa_a.is_ok()) return pa_a.status();
-  const auto pa_b = translate_checked(b, b_bytes);
-  if (!pa_b.is_ok()) return pa_b.status();
-  const auto pa_c = translate_checked(c, c_bytes);
-  if (!pa_c.is_ok()) return pa_c.status();
+  Operand op_a{a, m, k, lda};
+  Operand op_b{b, k, n, ldb};
+  Operand op_c{c, m, n, ldc};
+  TDO_RETURN_IF_ERROR(begin_call(op_a, op_b, op_c));
 
-  // Exact operand footprints: {base, pitch, width, rows} rectangles rather
-  // than flat byte ranges, so the disjoint column stripes of different calls
-  // never force a hazard synchronization.
-  const Rect rect_a{*pa_a, lda * kElem, k * kElem, m};
-  const Rect rect_b{*pa_b, ldb * kElem, n * kElem, k};
-  const Rect rect_c{*pa_c, ldc * kElem, n * kElem, m};
+  const bool stationary_b = stationary == cim::StationaryOperand::kB;
+  TilePlan plan = gemm_plan(m, n, k, stationary);
+  plan.alpha = alpha;
+  plan.beta = beta;
+  plan.bind(stationary_b ? op_b : op_a, stationary_b ? op_a : op_b, op_c);
 
-  // Hazard ordering against in-flight commands from earlier calls.
-  TDO_RETURN_IF_ERROR(sync_for_operands({rect_a, rect_b}, {rect_c}));
-
-  auto max_a = operand_max_abs(a, m, k, lda);
-  if (!max_a.is_ok()) return max_a.status();
-  auto max_b = operand_max_abs(b, k, n, ldb);
-  if (!max_b.is_ok()) return max_b.status();
-
-  const std::uint64_t max_rows = accel_.tile().rows();
-  const std::uint64_t max_cols = accel_.tile().cols();
-  invalidate_scales(c, c_bytes);
-  // The kernel's C output is a host-visible write like any other: a cached
-  // stationary tile backed by memory this call overwrites must die.
-  residency_->invalidate_overlapping(rect_c);
-  stream_->note_read(rect_a);
-  stream_->note_read(rect_b);
-  const bool use_cache = cacheable && residency_->enabled();
-  const double q_a = support::QuantScale::for_max_abs(*max_a).scale;
-  const double q_b = support::QuantScale::for_max_abs(*max_b).scale;
-
-  if (stationary == cim::StationaryOperand::kB) {
-    // Pseudo-asynchronous split (DTO's DTO_CPU_SIZE_FRACTION): peel the
-    // last rows of the M dimension off onto the host worker pool, which
-    // runs them concurrently with the accelerators' stripes; the two halves
-    // join at the next synchronization point. Row-splitting C keeps both
-    // halves element-disjoint, so the only ordering needed is the join.
-    std::uint64_t m_dev = m;
-    if (config_.split.enabled && pool_->enabled() &&
-        config_.split.cpu_fraction > 0.0 && m >= 2 &&
-        m * n * k >= config_.split.min_macs) {
-      const double fraction = std::clamp(config_.split.cpu_fraction, 0.0,
-                                         config_.split.max_fraction);
-      const std::uint64_t m_host = std::min<std::uint64_t>(
-          m - 1,
-          static_cast<std::uint64_t>(static_cast<double>(m) * fraction + 0.5));
-      if (m_host >= 1) {
-        HostStripeJob job;
-        job.m = m_host;
-        job.n = n;
-        job.k = k;
-        job.lda = lda;
-        job.ldb = ldb;
-        job.ldc = ldc;
-        job.pa_a = *pa_a + (m - m_host) * lda * kElem;
-        job.pa_b = *pa_b;
-        job.pa_c = *pa_c + (m - m_host) * ldc * kElem;
-        job.alpha = alpha;
-        job.beta = beta;
-        const HostPoolTicket ticket = pool_->submit(job);
-        if (ticket.accepted) {
-          m_dev = m - m_host;
-          stats_.split_calls += 1;
-          stats_.split_host_macs += m_host * n * k;
-          stats_.split_device_macs += m_dev * n * k;
-          // The stripe read A/B eagerly, so it leaves no deferred-read
-          // hazard; its C rows stay tracked until the join so later
-          // consumers order behind the pool.
-          stream_->note_write(
-              Rect{job.pa_c, ldc * kElem, n * kElem, m_host},
-              stream_->host_pool_device_id());
-        }
+  // Pseudo-asynchronous split (DTO's DTO_CPU_SIZE_FRACTION), stationary B
+  // only: peel the last rows of the streamed M dimension off onto the host
+  // worker pool, which runs them concurrently with the accelerators'
+  // stripes; the two halves join at the next synchronization point.
+  // Row-splitting C keeps both halves element-disjoint, so the only
+  // ordering needed is the join.
+  if (stationary_b && config_.split.enabled && pool_->enabled() &&
+      config_.split.cpu_fraction > 0.0 && m >= 2 &&
+      m * n * k >= config_.split.min_macs) {
+    const double fraction = std::clamp(config_.split.cpu_fraction, 0.0,
+                                       config_.split.max_fraction);
+    const std::uint64_t m_host = std::min<std::uint64_t>(
+        m - 1,
+        static_cast<std::uint64_t>(static_cast<double>(m) * fraction + 0.5));
+    if (m_host >= 1) {
+      HostStripeJob job;
+      job.m = m_host;
+      job.n = n;
+      job.k = k;
+      job.lda = lda;
+      job.ldb = ldb;
+      job.ldc = ldc;
+      job.pa_a = op_a.rect.base + (m - m_host) * lda * kElem;
+      job.pa_b = op_b.rect.base;
+      job.pa_c = op_c.rect.base + (m - m_host) * ldc * kElem;
+      job.alpha = alpha;
+      job.beta = beta;
+      const HostPoolTicket ticket = pool_->submit(job);
+      if (ticket.accepted) {
+        plan.stream = m - m_host;
+        stats_.split_calls += 1;
+        stats_.split_host_macs += m_host * n * k;
+        stats_.split_device_macs += plan.stream * n * k;
+        // The stripe read A/B eagerly, so it leaves no deferred-read
+        // hazard; its C rows stay tracked until the join so later
+        // consumers order behind the pool.
+        stream_->note_write(Rect{job.pa_c, ldc * kElem, n * kElem, m_host},
+                            stream_->host_pool_device_id());
       }
     }
-
-    // Stationary B tiles (k x n); stream rows of A; jj/kk tile loops. Each
-    // jj column stripe is element-disjoint in C, so stripes round-robin
-    // across accelerators (and are tracked per device for per-stripe
-    // copy-back); the kk accumulation chain stays on one queue. A stripe
-    // whose weights are resident on some accelerator lands there instead —
-    // affinity routing makes the reuse request actually hit.
-    for (std::uint64_t jj = 0; jj < n; jj += max_cols) {
-      const std::uint64_t njs = std::min(max_cols, n - jj);
-      std::vector<WeightKey> keys;
-      if (use_cache) {
-        for (std::uint64_t kk = 0; kk < k; kk += max_rows) {
-          const std::uint64_t ks = std::min(max_rows, k - kk);
-          const Rect tile_rect{*pa_b + (kk * ldb + jj) * kElem, ldb * kElem,
-                               njs * kElem, ks};
-          keys.push_back(WeightKey{tile_rect, ldb, q_b, stationary,
-                                   static_cast<std::uint32_t>(ks),
-                                   static_cast<std::uint32_t>(njs)});
-        }
-      }
-      const int device = stationary_device(keys);
-      stream_->note_write(
-          Rect{*pa_c + jj * kElem, ldc * kElem, njs * kElem, m_dev}, device);
-      std::size_t tile_index = 0;
-      for (std::uint64_t kk = 0; kk < k; kk += max_rows, ++tile_index) {
-        const std::uint64_t ks = std::min(max_rows, k - kk);
-        const float beta_eff = kk == 0 ? beta : 1.0f;
-        const WeightKey key =
-            use_cache ? keys[tile_index]
-                      : WeightKey{Rect{}, ldb, q_b, stationary,
-                                  static_cast<std::uint32_t>(ks),
-                                  static_cast<std::uint32_t>(njs)};
-        const TilePlacement tile = place_tile(use_cache, key, device);
-        // Migrated tiles: the destination crossbar was programmed from the
-        // peer-to-peer staging copy, so the job's stationary pointer must
-        // reference it for the device-side validation to match.
-        const sim::PhysAddr pa_b_eff = tile.skip && tile.migrated
-                                           ? tile.shadow_base
-                                           : *pa_b + (kk * ldb + jj) * kElem;
-        const std::uint64_t ldb_eff =
-            tile.skip && tile.migrated ? tile.shadow_ld : ldb;
-        const auto image = make_job_image(
-            m_dev, njs, ks, alpha, beta_eff, *pa_a + kk * kElem, lda,
-            pa_b_eff, ldb_eff, *pa_c + jj * kElem, ldc,
-            *max_a, *max_b, stationary, tile.skip, tile.row0);
-        TDO_RETURN_IF_ERROR(enqueue_job(image, m_dev * njs * ks,
-                                        tile.skip ? 0 : ks * njs, device,
-                                        /*allow_cpu_fallback=*/kk == 0));
-      }
-      if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-    }
-    return support::Status::ok();
   }
-
-  // Stationary A^T tiles (k x m); stream columns of B; ii/kk tile loops.
-  for (std::uint64_t ii = 0; ii < m; ii += max_cols) {
-    const std::uint64_t ms = std::min(max_cols, m - ii);
-    std::vector<WeightKey> keys;
-    if (use_cache) {
-      for (std::uint64_t kk = 0; kk < k; kk += max_rows) {
-        const std::uint64_t ks = std::min(max_rows, k - kk);
-        const Rect tile_rect{*pa_a + (ii * lda + kk) * kElem, lda * kElem,
-                             ks * kElem, ms};
-        keys.push_back(WeightKey{tile_rect, lda, q_a, stationary,
-                                 static_cast<std::uint32_t>(ks),
-                                 static_cast<std::uint32_t>(ms)});
-      }
-    }
-    const int device = stationary_device(keys);
-    stream_->note_write(
-        Rect{*pa_c + ii * ldc * kElem, ldc * kElem, n * kElem, ms}, device);
-    std::size_t tile_index = 0;
-    for (std::uint64_t kk = 0; kk < k; kk += max_rows, ++tile_index) {
-      const std::uint64_t ks = std::min(max_rows, k - kk);
-      const float beta_eff = kk == 0 ? beta : 1.0f;
-      const WeightKey key =
-          use_cache ? keys[tile_index]
-                    : WeightKey{Rect{}, lda, q_a, stationary,
-                                static_cast<std::uint32_t>(ks),
-                                static_cast<std::uint32_t>(ms)};
-      const TilePlacement tile = place_tile(use_cache, key, device);
-      const sim::PhysAddr pa_a_eff = tile.skip && tile.migrated
-                                         ? tile.shadow_base
-                                         : *pa_a + (ii * lda + kk) * kElem;
-      const std::uint64_t lda_eff =
-          tile.skip && tile.migrated ? tile.shadow_ld : lda;
-      const auto image = make_job_image(
-          ms, n, ks, alpha, beta_eff, pa_a_eff, lda_eff,
-          *pa_b + kk * ldb * kElem, ldb, *pa_c + ii * ldc * kElem, ldc, *max_a,
-          *max_b, stationary, tile.skip, tile.row0);
-      TDO_RETURN_IF_ERROR(enqueue_job(image, ms * n * ks,
-                                      tile.skip ? 0 : ks * ms, device,
-                                      /*allow_cpu_fallback=*/kk == 0));
-    }
-    if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-  }
-  return support::Status::ok();
+  return run_plan(plan, cacheable && residency_->enabled());
 }
 
 support::Status CimRuntime::sgemv(bool transpose, std::uint64_t m,
@@ -893,124 +878,21 @@ support::Status CimRuntime::sgemv_async(bool transpose, std::uint64_t m,
 
   const std::uint64_t xlen = transpose ? m : n;
   const std::uint64_t ylen = transpose ? n : m;
-  const std::uint64_t a_bytes = ((m - 1) * lda + n) * kElem;
-  const auto pa_a = translate_checked(a, a_bytes);
-  if (!pa_a.is_ok()) return pa_a.status();
-  const auto pa_x = translate_checked(x, xlen * kElem);
-  if (!pa_x.is_ok()) return pa_x.status();
-  const auto pa_y = translate_checked(y, ylen * kElem);
-  if (!pa_y.is_ok()) return pa_y.status();
+  Operand op_a{a, m, n, lda};
+  Operand op_x{x, 1, xlen, xlen};
+  Operand op_y{y, 1, ylen, ylen};
+  TDO_RETURN_IF_ERROR(begin_call(op_a, op_x, op_y));
 
-  const Rect rect_a{*pa_a, lda * kElem, n * kElem, m};
-  const Rect rect_x = Rect::linear(*pa_x, xlen * kElem);
-  const Rect rect_y = Rect::linear(*pa_y, ylen * kElem);
-  TDO_RETURN_IF_ERROR(sync_for_operands({rect_a, rect_x}, {rect_y}));
-
-  auto max_a = operand_max_abs(a, m, n, lda);
-  if (!max_a.is_ok()) return max_a.status();
-  auto max_x = operand_max_abs(x, 1, xlen, xlen);
-  if (!max_x.is_ok()) return max_x.status();
-
-  const std::uint64_t max_rows = accel_.tile().rows();
-  const std::uint64_t max_cols = accel_.tile().cols();
-  invalidate_scales(y, ylen * kElem);
-  residency_->invalidate_overlapping(rect_y);
-  stream_->note_read(rect_a);
-  stream_->note_read(rect_x);
-  const bool use_cache = cacheable && residency_->enabled();
-  const double q_a = support::QuantScale::for_max_abs(*max_a).scale;
-
+  TilePlan plan = gemv_plan(transpose, m, n);
+  plan.alpha = alpha;
+  plan.beta = beta;
+  plan.bind(op_a, op_x, op_y);
   if (!transpose) {
-    // y[m] = alpha*A*x + beta*y. Stationary A^T (reduce n, out m).
-    for (std::uint64_t ii = 0; ii < m; ii += max_cols) {
-      const std::uint64_t ms = std::min(max_cols, m - ii);
-      std::vector<WeightKey> keys;
-      if (use_cache) {
-        for (std::uint64_t kk = 0; kk < n; kk += max_rows) {
-          const std::uint64_t ks = std::min(max_rows, n - kk);
-          const Rect tile_rect{*pa_a + (ii * lda + kk) * kElem, lda * kElem,
-                               ks * kElem, ms};
-          keys.push_back(WeightKey{tile_rect, lda, q_a,
-                                   cim::StationaryOperand::kA,
-                                   static_cast<std::uint32_t>(ks),
-                                   static_cast<std::uint32_t>(ms)});
-        }
-      }
-      const int device = stationary_device(keys);
-      stream_->note_write(Rect::linear(*pa_y + ii * kElem, ms * kElem), device);
-      std::size_t tile_index = 0;
-      for (std::uint64_t kk = 0; kk < n; kk += max_rows, ++tile_index) {
-        const std::uint64_t ks = std::min(max_rows, n - kk);
-        const float beta_eff = kk == 0 ? beta : 1.0f;
-        const WeightKey key =
-            use_cache ? keys[tile_index]
-                      : WeightKey{Rect{}, lda, q_a, cim::StationaryOperand::kA,
-                                  static_cast<std::uint32_t>(ks),
-                                  static_cast<std::uint32_t>(ms)};
-        const TilePlacement tile = place_tile(use_cache, key, device);
-        const sim::PhysAddr pa_a_eff = tile.skip && tile.migrated
-                                           ? tile.shadow_base
-                                           : *pa_a + (ii * lda + kk) * kElem;
-        const std::uint64_t lda_eff =
-            tile.skip && tile.migrated ? tile.shadow_ld : lda;
-        const auto image = make_job_image(
-            ms, 1, ks, alpha, beta_eff, pa_a_eff, lda_eff,
-            *pa_x + kk * kElem, 1, *pa_y + ii * kElem, 1, *max_a, *max_x,
-            cim::StationaryOperand::kA, tile.skip, tile.row0);
-        TDO_RETURN_IF_ERROR(enqueue_job(image, ms * ks,
-                                        tile.skip ? 0 : ks * ms, device,
-                                        /*allow_cpu_fallback=*/kk == 0));
-      }
-      if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-    }
-    return support::Status::ok();
+    // Stationary A^T streams x as a column and writes y as one.
+    plan.mov_ld = 1;
+    plan.dst_ld = 1;
   }
-
-  // y[n] = alpha*A^T*x + beta*y. A itself is the natural stationary layout:
-  // crossbar rows = rows of A (reduce m), columns = columns of A (out n).
-  for (std::uint64_t jj = 0; jj < n; jj += max_cols) {
-    const std::uint64_t njs = std::min(max_cols, n - jj);
-    std::vector<WeightKey> keys;
-    if (use_cache) {
-      for (std::uint64_t kk = 0; kk < m; kk += max_rows) {
-        const std::uint64_t ks = std::min(max_rows, m - kk);
-        const Rect tile_rect{*pa_a + (kk * lda + jj) * kElem, lda * kElem,
-                             njs * kElem, ks};
-        keys.push_back(WeightKey{tile_rect, lda, q_a,
-                                 cim::StationaryOperand::kB,
-                                 static_cast<std::uint32_t>(ks),
-                                 static_cast<std::uint32_t>(njs)});
-      }
-    }
-    const int device = stationary_device(keys);
-    stream_->note_write(Rect::linear(*pa_y + jj * kElem, njs * kElem), device);
-    std::size_t tile_index = 0;
-    for (std::uint64_t kk = 0; kk < m; kk += max_rows, ++tile_index) {
-      const std::uint64_t ks = std::min(max_rows, m - kk);
-      const float beta_eff = kk == 0 ? beta : 1.0f;
-      const WeightKey key =
-          use_cache ? keys[tile_index]
-                    : WeightKey{Rect{}, lda, q_a, cim::StationaryOperand::kB,
-                                static_cast<std::uint32_t>(ks),
-                                static_cast<std::uint32_t>(njs)};
-      const TilePlacement tile = place_tile(use_cache, key, device);
-      const sim::PhysAddr pa_stat_eff = tile.skip && tile.migrated
-                                            ? tile.shadow_base
-                                            : *pa_a + (kk * lda + jj) * kElem;
-      const std::uint64_t ld_stat_eff =
-          tile.skip && tile.migrated ? tile.shadow_ld : lda;
-      // One streamed "row of A" = x^T; output row = y^T.
-      const auto image = make_job_image(
-          1, njs, ks, alpha, beta_eff, *pa_x + kk * kElem, ks,
-          pa_stat_eff, ld_stat_eff, *pa_y + jj * kElem, njs,
-          *max_x, *max_a, cim::StationaryOperand::kB, tile.skip, tile.row0);
-      TDO_RETURN_IF_ERROR(enqueue_job(image, njs * ks,
-                                      tile.skip ? 0 : ks * njs, device,
-                                      /*allow_cpu_fallback=*/kk == 0));
-    }
-    if (use_cache && !keys.empty()) prefetch_predicted(keys.back(), device);
-  }
-  return support::Status::ok();
+  return run_plan(plan, cacheable && residency_->enabled());
 }
 
 support::Status CimRuntime::sgemm_batched(std::uint64_t m, std::uint64_t n,
@@ -1033,36 +915,14 @@ std::optional<int> CimRuntime::weight_affinity(std::uint64_t m, std::uint64_t n,
                                                cim::StationaryOperand stationary) {
   if (!initialized_ || !residency_->enabled()) return std::nullopt;
   if (m == 0 || n == 0 || k == 0) return std::nullopt;
+  // Stationary B: a k x n operand; stationary A: m x k.
   const bool stationary_b = stationary == cim::StationaryOperand::kB;
-  // Stationary B: a k x n operand; stationary A: m x k (the dispatch path
-  // keys tiles of A^T with A's row-major footprint).
-  const std::uint64_t stat_rows = stationary_b ? k : m;
-  const std::uint64_t stat_cols = stationary_b ? n : k;
-  const std::uint64_t bytes = ((stat_rows - 1) * ld_stat + stat_cols) * kElem;
-  const auto pa = translate_checked(stat, bytes);
-  if (!pa.is_ok()) return std::nullopt;
-  auto max_stat = operand_max_abs(stat, stat_rows, stat_cols, ld_stat);
-  if (!max_stat.is_ok()) return std::nullopt;
-  const double q = support::QuantScale::for_max_abs(*max_stat).scale;
-
-  const std::uint64_t max_rows = accel_.tile().rows();
-  const std::uint64_t max_cols = accel_.tile().cols();
-  const std::uint64_t outer = stationary_b ? n : m;
-  for (std::uint64_t jj = 0; jj < outer; jj += max_cols) {
-    const std::uint64_t js = std::min(max_cols, outer - jj);
-    for (std::uint64_t kk = 0; kk < k; kk += max_rows) {
-      const std::uint64_t ks = std::min(max_rows, k - kk);
-      const Rect tile_rect =
-          stationary_b
-              ? Rect{*pa + (kk * ld_stat + jj) * kElem, ld_stat * kElem,
-                     js * kElem, ks}
-              : Rect{*pa + (jj * ld_stat + kk) * kElem, ld_stat * kElem,
-                     ks * kElem, js};
-      const WeightKey key{tile_rect, ld_stat, q, stationary,
-                          static_cast<std::uint32_t>(ks),
-                          static_cast<std::uint32_t>(js)};
-      if (const auto resident = residency_->peek(key)) return resident->device;
-    }
+  Operand op{stat, stationary_b ? k : m, stationary_b ? n : k, ld_stat};
+  if (!locate(op).is_ok() || !scan(op).is_ok()) return std::nullopt;
+  TilePlan plan = gemm_plan(m, n, k, stationary);
+  plan.bind(op);
+  for (const WeightKey& key : plan.keys()) {
+    if (const auto resident = residency_->peek(key)) return resident->device;
   }
   return std::nullopt;
 }
@@ -1075,12 +935,13 @@ support::Status CimRuntime::sgemm_batched_async(
   if (!initialized_) {
     return support::failed_precondition("polly_cimInit must be called first");
   }
+  if (m == 0 || n == 0 || k == 0) {
+    return support::invalid_argument("zero GEMM dimension");
+  }
   if (items.empty()) return support::invalid_argument("empty batch");
 
-  const bool stationary_b = stationary == cim::StationaryOperand::kB;
-  const std::uint64_t tile_rows = k;
-  const std::uint64_t tile_cols = stationary_b ? n : m;
-  if (tile_rows > accel_.tile().rows() || tile_cols > accel_.tile().cols()) {
+  TilePlan plan = gemm_plan(m, n, k, stationary);
+  if (!plan.fits()) {
     // Graceful fallback: oversized batched operands run as individual tiled
     // GEMMs (loses the shared-input endurance benefit, which is exactly why
     // the compiler tiles *before* batching).
@@ -1094,6 +955,7 @@ support::Status CimRuntime::sgemm_batched_async(
   }
   // Cross-call residency applies when the whole batch shares one stationary
   // operand (the conv/T lowering and shared-input fusion groups do).
+  const bool stationary_b = stationary == cim::StationaryOperand::kB;
   bool shared_stationary = true;
   for (const GemmBatchItem& item : items) {
     const sim::VirtAddr stat = stationary_b ? item.b : item.a;
@@ -1108,82 +970,58 @@ support::Status CimRuntime::sgemm_batched_async(
 
   // Translate every operand once, order against in-flight producers from
   // earlier calls, then register this call's ranges.
-  const std::uint64_t a_bytes = ((m - 1) * lda + k) * kElem;
-  const std::uint64_t b_bytes = ((k - 1) * ldb + n) * kElem;
-  const std::uint64_t c_bytes = ((m - 1) * ldc + n) * kElem;
-  struct ItemAddrs {
-    sim::PhysAddr a = 0, b = 0, c = 0;
+  struct ItemOperands {
+    Operand a, b, c;
   };
-  std::vector<ItemAddrs> addrs(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto pa_a = translate_checked(items[i].a, a_bytes);
-    if (!pa_a.is_ok()) return pa_a.status();
-    const auto pa_b = translate_checked(items[i].b, b_bytes);
-    if (!pa_b.is_ok()) return pa_b.status();
-    const auto pa_c = translate_checked(items[i].c, c_bytes);
-    if (!pa_c.is_ok()) return pa_c.status();
-    addrs[i] = ItemAddrs{*pa_a, *pa_b, *pa_c};
-    TDO_RETURN_IF_ERROR(
-        sync_for_operands({Rect{*pa_a, lda * kElem, k * kElem, m},
-                           Rect{*pa_b, ldb * kElem, n * kElem, k}},
-                          {Rect{*pa_c, ldc * kElem, n * kElem, m}}));
+  std::vector<ItemOperands> ops;
+  ops.reserve(items.size());
+  for (const GemmBatchItem& item : items) {
+    ItemOperands& op = ops.emplace_back(ItemOperands{
+        {item.a, m, k, lda}, {item.b, k, n, ldb}, {item.c, m, n, ldc}});
+    TDO_RETURN_IF_ERROR(locate(op.a));
+    TDO_RETURN_IF_ERROR(locate(op.b));
+    TDO_RETURN_IF_ERROR(locate(op.c));
+    TDO_RETURN_IF_ERROR(sync_for_operands({op.a.rect, op.b.rect}, {op.c.rect}));
   }
   // Round-robin the batch across accelerator instances in contiguous chunks
   // (items of one batched call are independent by construction — the fusion
   // pass only groups reorderable kernels). Chunks preserve stationary reuse.
   // A caller-pinned device (serving scheduler placement) keeps the batch
   // whole on that accelerator.
-  auto& mem = system_.memory();
-  auto& cpu = system_.cpu();
   const std::uint64_t devices = stream_->device_count();
   const std::uint64_t chunks =
       device >= 0 ? 1 : std::min<std::uint64_t>(devices, items.size());
   const std::uint64_t per_chunk = (items.size() + chunks - 1) / chunks;
 
-  // The shared stationary tile's identity (for the residency cache).
-  auto max_stat = operand_max_abs(stationary_b ? items[0].b : items[0].a,
-                                  stationary_b ? k : m,
-                                  stationary_b ? n : k,
-                                  stationary_b ? ldb : lda);
-  if (!max_stat.is_ok()) return max_stat.status();
-  const Rect stationary_rect =
-      stationary_b ? Rect{addrs[0].b, ldb * kElem, n * kElem, k}
-                   : Rect{addrs[0].a, lda * kElem, k * kElem, m};
-  const WeightKey key{stationary_rect, stationary_b ? ldb : lda,
-                      support::QuantScale::for_max_abs(*max_stat).scale,
-                      stationary,
-                      static_cast<std::uint32_t>(tile_rows),
-                      static_cast<std::uint32_t>(tile_cols)};
+  // The shared stationary tile's identity (for the residency cache): the
+  // whole operand, which fits one tile.
+  Operand& stat = stationary_b ? ops[0].b : ops[0].a;
+  TDO_RETURN_IF_ERROR(scan(stat));
+  plan.bind(stat);
+  const WeightKey key = plan.keys().front();
 
   // Chunk device pre-draw: a single-chunk batch whose weights are resident
-  // somewhere lands there (affinity); a split batch keeps the round-robin
-  // spread and caches the tile per device instead.
-  std::vector<int> chunk_devices(chunks, -1);
-  if (device >= 0) {
-    chunk_devices[0] =
-        static_cast<int>(static_cast<std::size_t>(device) % devices);
-  } else if (use_cache && chunks == 1) {
-    if (const auto resident = residency_->peek(key)) {
-      chunk_devices[0] = resident->device;
-    }
-  }
+  // somewhere lands there (affinity, under the placement policy); a split
+  // batch keeps the round-robin spread and caches the tile per device
+  // instead.
+  std::vector<int> chunk_devices(chunks);
   for (std::uint64_t chunk = 0; chunk < chunks; ++chunk) {
-    if (chunk_devices[chunk] < 0) {
-      const int placed = topo_place();
-      chunk_devices[chunk] =
-          placed >= 0 ? placed : static_cast<int>(stream_->next_device());
-    }
+    chunk_devices[chunk] =
+        device >= 0
+            ? static_cast<int>(static_cast<std::size_t>(device) % devices)
+            : stationary_device(use_cache && chunks == 1
+                                    ? std::span<const WeightKey>(&key, 1)
+                                    : std::span<const WeightKey>{});
   }
 
   for (std::size_t i = 0; i < items.size(); ++i) {
     const int device = chunk_devices[std::min<std::uint64_t>(
         i / per_chunk, chunks - 1)];
-    invalidate_scales(items[i].c, c_bytes);
-    residency_->invalidate_overlapping(Rect{addrs[i].c, ldc * kElem,
-                                            n * kElem, m});
-    stream_->note_read(Rect{addrs[i].a, lda * kElem, k * kElem, m}, device);
-    stream_->note_read(Rect{addrs[i].b, ldb * kElem, n * kElem, k}, device);
-    stream_->note_write(Rect{addrs[i].c, ldc * kElem, n * kElem, m}, device);
+    invalidate_scales(items[i].c, ops[i].c.rect.span_end() - ops[i].c.rect.base);
+    residency_->invalidate_overlapping(ops[i].c.rect);
+    stream_->note_read(ops[i].a.rect, device);
+    stream_->note_read(ops[i].b.rect, device);
+    stream_->note_write(ops[i].c.rect, device);
   }
 
   for (std::uint64_t chunk = 0; chunk < chunks; ++chunk) {
@@ -1191,52 +1029,42 @@ support::Status CimRuntime::sgemm_batched_async(
     const std::uint64_t end =
         std::min<std::uint64_t>(begin + per_chunk, items.size());
     if (begin >= end) break;
-    const std::span<const GemmBatchItem> slice = items.subspan(begin, end - begin);
+    const std::uint64_t count = end - begin;
 
     // Build the chunk's batch table in a device staging buffer (host stores,
     // charged). The buffer stays alive until synchronize().
-    auto staging = driver_->alloc_buffer(slice.size() * sizeof(cim::BatchEntry));
+    auto staging = driver_->alloc_buffer(count * sizeof(cim::BatchEntry));
     if (!staging.is_ok()) return staging.status();
     staging_.push_back(*staging);
     std::uint64_t offset = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      const GemmBatchItem& item = items[i];
-      auto max_a = operand_max_abs(item.a, m, k, lda);
-      if (!max_a.is_ok()) return max_a.status();
-      auto max_b = operand_max_abs(item.b, k, n, ldb);
-      if (!max_b.is_ok()) return max_b.status();
-
+      TDO_RETURN_IF_ERROR(scan(ops[i].a));
+      TDO_RETURN_IF_ERROR(scan(ops[i].b));
       cim::BatchEntry entry;
-      entry.pa_a = addrs[i].a;
-      entry.pa_b = addrs[i].b;
-      entry.pa_c = addrs[i].c;
-      entry.scale_a = support::QuantScale::for_max_abs(*max_a).scale;
-      entry.scale_b = support::QuantScale::for_max_abs(*max_b).scale;
-      mem.write(staging->pa + offset,
-                std::span(reinterpret_cast<const std::uint8_t*>(&entry),
-                          sizeof entry));
-      for (std::uint64_t w = 0; w < sizeof entry; w += 8) {
-        cpu.store(staging->pa + offset + w, 8);
-      }
+      entry.pa_a = ops[i].a.rect.base;
+      entry.pa_b = ops[i].b.rect.base;
+      entry.pa_c = ops[i].c.rect.base;
+      entry.scale_a = ops[i].a.scale;
+      entry.scale_b = ops[i].b.scale;
+      store_entry(system_, staging->pa + offset, entry);
       offset += sizeof entry;
     }
 
     const int device = chunk_devices[chunk];
     const TilePlacement tile = place_tile(use_cache, key, device);
-    cim::ContextRegs image = make_job_image(
-        m, n, k, alpha, beta, 0, lda, 0, ldb, 0, ldc,
-        /*scale_a=*/1.0, /*scale_b=*/1.0, stationary, tile.skip, tile.row0);
     // Batched jobs carry per-entry pointers/scales; the image's scale fields
     // are placeholders that decode() requires to be positive.
-    image.write(cim::Reg::kOpcode,
-                static_cast<std::uint64_t>(cim::Opcode::kGemmBatched));
-    image.write(cim::Reg::kBatchCount, slice.size());
+    cim::ContextRegs image = make_job_image(
+        m, n, k, alpha, beta, 0, lda, 0, ldb, 0, ldc, /*scale_a=*/1.0,
+        /*scale_b=*/1.0, stationary, tile.skip, tile.row0,
+        cim::Opcode::kGemmBatched);
+    image.write(cim::Reg::kBatchCount, count);
     image.write(cim::Reg::kBatchTable, staging->pa);
     // The batch shares the stationary tile; only the first item programs it
     // (none do when the residency cache validated a resident tile).
     TDO_RETURN_IF_ERROR(enqueue_job(
-        image, slice.size() * m * n * k,
-        tile.skip ? 0 : tile_rows * tile_cols, device,
+        image, count * m * n * k,
+        tile.skip ? 0 : std::uint64_t{key.rows} * key.cols, device,
         /*allow_cpu_fallback=*/false));
   }
   if (use_cache) prefetch_predicted(key, chunk_devices[0]);

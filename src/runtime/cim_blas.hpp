@@ -212,6 +212,18 @@ class CimRuntime {
       std::uint64_t m, std::uint64_t n, std::uint64_t k, sim::VirtAddr stat,
       std::uint64_t ld_stat, cim::StationaryOperand stationary);
 
+  /// Whether the call's stationary operand fits one crossbar tile, so the
+  /// call runs as a single job (TilePlan geometry; serving-scheduler hook).
+  [[nodiscard]] bool gemm_fits_tile(std::uint64_t m, std::uint64_t n,
+                                    std::uint64_t k,
+                                    cim::StationaryOperand stationary) const {
+    return gemm_plan(m, n, k, stationary).fits();
+  }
+  [[nodiscard]] bool gemv_fits_tile(bool transpose, std::uint64_t m,
+                                    std::uint64_t n) const {
+    return gemv_plan(transpose, m, n).fits();
+  }
+
   /// Retunes the pseudo-async split fraction at runtime (the admission
   /// controller's continuous knob next to the binary offload decision).
   /// Clamped to [0, split.max_fraction]; no-op splitting when 0.
@@ -259,21 +271,90 @@ class CimRuntime {
   [[nodiscard]] bool initialized() const { return initialized_; }
 
  private:
-  /// Max|x| over an `count`-element float region at `va` with row pitch
-  /// `ld` and row length `row_len` (host scan, charged).
-  [[nodiscard]] support::StatusOr<double> operand_max_abs(sim::VirtAddr va,
-                                                          std::uint64_t rows,
-                                                          std::uint64_t row_len,
-                                                          std::uint64_t ld);
+  /// One float operand of a call: a rows x cols view with row pitch `ld`
+  /// elements. A vector is the rows == 1, ld == cols case, whose footprint
+  /// is Rect::linear.
+  struct Operand {
+    Operand(sim::VirtAddr va_, std::uint64_t rows_, std::uint64_t cols_,
+            std::uint64_t ld_)
+        : va{va_}, rows{rows_}, cols{cols_}, ld{ld_} {}
+    sim::VirtAddr va = 0;
+    std::uint64_t rows = 0, cols = 0, ld = 0;
+    Rect rect;             ///< physical footprint, set by locate()
+    double scale = 1.0;    ///< quantization scale of max|x|, set by scan()
+  };
+  /// Translates the operand and sets its footprint. CIM operands must live
+  /// in physically contiguous memory (functional, no host charge).
+  support::Status locate(Operand& op) const;
+  /// Sets the operand's quantization scale from a max|x| host scan
+  /// (charged; cached per buffer).
+  support::Status scan(Operand& op);
 
-  /// Builds the shared register image for a (tile) job. `tile_row0` is the
-  /// crossbar row window holding (or receiving) the stationary tile.
+  /// The tiling of one GEMM/GEMV call onto the crossbar, and the only place
+  /// tile geometry is decided (DESIGN.md §3 "Tiling"). The stationary
+  /// operand spans `reduce` crossbar rows by `out` columns and is cut into
+  /// tiles of at most tile_rows x tile_cols; each `out` stripe is one
+  /// accumulation chain over its tiles, streaming `stream` moving vectors.
+  struct TilePlan {
+    cim::StationaryOperand layout = cim::StationaryOperand::kB;
+    std::uint64_t reduce = 0, out = 0, stream = 0;
+    std::uint64_t tile_rows = 0, tile_cols = 0;
+    /// Stationary operand: reduce x out under kB; out x reduce under kA
+    /// (tiles of A^T keyed with A's row-major footprint).
+    sim::PhysAddr stat = 0;
+    std::uint64_t stat_ld = 0;
+    double stat_scale = 1.0;
+    /// Moving operand; tile kk starts kk columns (kB) or kk rows (kA) in.
+    sim::PhysAddr mov = 0;
+    std::uint64_t mov_ld = 0;
+    double mov_scale = 1.0;
+    /// Output; stripe jj starts jj columns (kB) or jj rows (kA) in. Vector
+    /// outputs footprint each stripe as one linear range.
+    sim::PhysAddr dst = 0;
+    std::uint64_t dst_ld = 0;
+    bool vector_out = false;
+    float alpha = 1.0f, beta = 0.0f;
+
+    [[nodiscard]] bool fits() const {
+      return reduce <= tile_rows && out <= tile_cols;
+    }
+    /// Takes operand addresses, leading dimensions and scales; plans that
+    /// only need tile keys bind just the stationary operand.
+    void bind(const Operand& stationary);
+    void bind(const Operand& stationary, const Operand& moving,
+              const Operand& output);
+    /// Residency identity of the ks x js stationary tile at (kk, jj).
+    [[nodiscard]] WeightKey key(std::uint64_t kk, std::uint64_t ks,
+                                std::uint64_t jj, std::uint64_t js) const;
+    /// Every tile's key, stripe by stripe (jj outer, kk inner).
+    [[nodiscard]] std::vector<WeightKey> keys() const;
+  };
+  [[nodiscard]] TilePlan gemm_plan(std::uint64_t m, std::uint64_t n,
+                                   std::uint64_t k,
+                                   cim::StationaryOperand stationary) const;
+  [[nodiscard]] TilePlan gemv_plan(bool transpose, std::uint64_t m,
+                                   std::uint64_t n) const;
+
+  /// Shared front half of sgemm/sgemv: locates the operands, orders the
+  /// call against in-flight commands, scans `a` then `b` (the host cache
+  /// model sees that order), retires cached state the output overwrites and
+  /// registers the reads.
+  support::Status begin_call(Operand& a, Operand& b, Operand& c);
+
+  /// Runs every stripe of `plan`: affinity pick, output write tracking, then
+  /// per tile placement, shadow substitution for migrated tiles, job image
+  /// and enqueue; finally the predicted successor's prefetch.
+  support::Status run_plan(const TilePlan& plan, bool use_cache);
+
+  /// Builds the shared register image for a (tile) job; `scale_a` and
+  /// `scale_b` are quantization scales. `tile_row0` is the crossbar row
+  /// window holding (or receiving) the stationary tile.
   [[nodiscard]] cim::ContextRegs make_job_image(
       std::uint64_t m, std::uint64_t n, std::uint64_t k, float alpha, float beta,
       sim::PhysAddr pa_a, std::uint64_t lda, sim::PhysAddr pa_b, std::uint64_t ldb,
       sim::PhysAddr pa_c, std::uint64_t ldc, double scale_a, double scale_b,
       cim::StationaryOperand stationary, bool skip_weight_load,
-      std::uint32_t tile_row0 = 0) const;
+      std::uint32_t tile_row0, cim::Opcode opcode = cim::Opcode::kGemm) const;
 
   /// Consults the weight-residency cache for one stationary tile: on a hit
   /// the job skips programming at the returned row window; on a miss rows
@@ -339,23 +420,16 @@ class CimRuntime {
   support::Status sync_for_operands(std::span<const Rect> reads,
                                     std::span<const Rect> writes);
 
-  /// Issues one host<->device copy: async through the stream when the
-  /// transfer engine deems it eligible, else the blocking host path.
-  support::Status copy(CopyDesc::Dir dir, sim::VirtAddr dst, sim::VirtAddr src,
-                       std::uint64_t bytes);
-
-  /// Pitched-view generalization of copy(); flat copies pass rows == 1.
+  /// Issues one pitched host<->device copy (flat copies pass rows == 1):
+  /// async through the stream when the transfer engine deems it eligible,
+  /// else the blocking host path.
   /// Marshals multi-segment chains into a staging CopySegEntry table the
   /// device DMA fetches (released at synchronize(), like batch tables).
   support::Status copy_view(CopyDesc::Dir dir, sim::VirtAddr dst,
                             sim::VirtAddr src, std::uint64_t pitch,
                             std::uint64_t width, std::uint64_t rows);
 
-  /// Reads a float element (functional, no host charge — engine-side use).
-  [[nodiscard]] support::StatusOr<sim::PhysAddr> translate_checked(
-      sim::VirtAddr va, std::uint64_t bytes) const;
-
-  /// Cached operand ranges: rescanning an unchanged buffer on every call
+  /// Cached operand scales: rescanning an unchanged buffer on every call
   /// would charge the host for work a real runtime memoizes.
   struct ScaleKey {
     sim::VirtAddr va;
@@ -377,7 +451,8 @@ class CimRuntime {
   /// Rotates the topology-aware scan start so equal-cost devices round-robin.
   std::size_t place_cursor_ = 0;
   std::vector<DeviceBuffer> buffers_;
-  /// Batch tables in flight; released by synchronize().
+  /// Batch tables and scatter-gather copy descriptor tables in flight;
+  /// released by synchronize().
   std::vector<DeviceBuffer> staging_;
   /// Staging copies of migrated stationary tiles. Each lives as long as the
   /// runtime: resident entries reference them as shadow operands and the

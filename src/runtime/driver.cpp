@@ -133,12 +133,8 @@ support::Status CimDriver::submit_queued(const cim::ContextRegs& image,
     // coherence clean is range-granular like submit_copy's — a full-cache
     // clean here would put ~L1+L2 walk time on every speculative prefetch
     // and migration adoption, dwarfing the work it hides.
-    const bool stationary_b =
-        static_cast<cim::StationaryOperand>(image.read(cim::Reg::kStationary)) ==
-        cim::StationaryOperand::kB;
-    const std::uint64_t cols =
-        stationary_b ? image.read(cim::Reg::kN) : image.read(cim::Reg::kM);
-    const std::uint64_t bytes = image.read(cim::Reg::kK) * cols * 4;
+    const cim::StationaryTile tile = cim::GemmJob::read(image).stationary_tile();
+    const std::uint64_t bytes = tile.rows * tile.cols * 4;
     flushes_.add();
     system_.cpu().charge_instructions(params_.flush_instructions_per_line *
                                       (bytes / 64 + 1));

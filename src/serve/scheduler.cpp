@@ -550,18 +550,10 @@ bool Scheduler::tile_fits(const Request& request) const {
   // link is fallback-eligible — a forced-host probe could never measure a
   // pure host run for them (and a batched launch would silently degrade to
   // individually-routed calls, voiding the device pin).
-  const auto& tile = runtime_.accelerator().tile();
-  if (request.op == Op::kSgemv) {
-    // y = op(A)x: the crossbar reduces over the x-length and emits the
-    // y-length (sgemv_async's kk/outer tiling).
-    const std::uint64_t reduce = request.transpose ? request.m : request.n;
-    const std::uint64_t out = request.transpose ? request.n : request.m;
-    return reduce <= tile.rows() && out <= tile.cols();
-  }
-  return request.k <= tile.rows() &&
-         (request.stationary == cim::StationaryOperand::kB ? request.n
-                                                           : request.m) <=
-             tile.cols();
+  return request.op == Op::kSgemv
+             ? runtime_.gemv_fits_tile(request.transpose, request.m, request.n)
+             : runtime_.gemm_fits_tile(request.m, request.n, request.k,
+                                       request.stationary);
 }
 
 std::size_t Scheduler::effective_depth(std::size_t device) const {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "support/fixed_point.hpp"
@@ -248,6 +249,20 @@ TEST(BlasTest, ZeroDimensionIsRejected) {
   EXPECT_FALSE(
       p.runtime().sgemm(0, 4, 4, 1.0f, va, 4, va, 4, 0.0f, va, 4).is_ok());
   EXPECT_FALSE(p.runtime().sgemv(false, 0, 4, 1.0f, va, 4, va, 0.0f, va).is_ok());
+  // Batched calls reject up front instead of failing at synchronize().
+  const std::vector<GemmBatchItem> items = {{va, va, va}};
+  EXPECT_EQ(p.runtime()
+                .sgemm_batched(0, 4, 4, 1.0f, items, 4, 4, 0.0f, 4,
+                               cim::StationaryOperand::kB)
+                .code(),
+            support::StatusCode::kInvalidArgument);
+  EXPECT_EQ(p.runtime()
+                .sgemm_batched_async(4, 0, 4, 1.0f, items, 4, 4, 0.0f, 4,
+                                     cim::StationaryOperand::kB)
+                .code(),
+            support::StatusCode::kInvalidArgument);
+  EXPECT_EQ(p.runtime().stats().tile_jobs, 0u);
+  EXPECT_TRUE(p.runtime().synchronize().is_ok());
 }
 
 TEST(BlasTest, FreeUnknownBufferFails) {
@@ -297,6 +312,131 @@ TEST(BlasTest, EnergyIsAttributedToAcceleratorCategories) {
   EXPECT_GT(snap.energy_or("cim.energy.buffers").picojoules(), 0.0);
   EXPECT_GT(snap.energy_or("cim.energy.dma").picojoules(), 0.0);
 }
+
+// Every dispatch shape runs through one tile plan: {sgemm stationary B,
+// sgemm stationary A, gemv, transposed gemv} x {fits one tile, reduce
+// oversized, out oversized, both}. `reduce` and `out` are the stationary
+// operand's crossbar extents; the streamed dimension stays small.
+enum class Dispatch { kGemmB, kGemmA, kGemv, kGemvT };
+
+struct TiledCase {
+  Dispatch dispatch;
+  std::size_t reduce;
+  std::size_t out;
+};
+
+std::string tiled_case_name(const ::testing::TestParamInfo<TiledCase>& info) {
+  static constexpr const char* kNames[] = {"GemmB", "GemmA", "Gemv", "GemvT"};
+  const TiledCase& c = info.param;
+  const char* oversize = c.reduce > 256 ? (c.out > 256 ? "Both" : "Reduce")
+                                        : (c.out > 256 ? "Out" : "Fits");
+  return std::string(kNames[static_cast<int>(c.dispatch)]) + oversize;
+}
+
+class TiledDispatchTest : public ::testing::TestWithParam<TiledCase> {};
+
+TEST_P(TiledDispatchTest, ResultTileCountAndResidency) {
+  const TiledCase c = GetParam();
+  constexpr std::size_t kStream = 5;
+  const bool gemm = c.dispatch == Dispatch::kGemmB || c.dispatch == Dispatch::kGemmA;
+  const bool transpose = c.dispatch == Dispatch::kGemvT;
+  const auto stationary = c.dispatch == Dispatch::kGemmA
+                              ? cim::StationaryOperand::kA
+                              : cim::StationaryOperand::kB;
+  // GEMM: C(m x n) = A(m x k) B(k x n). GEMV: y = op(A(m x n)) x.
+  std::size_t m = 0, n = 0, k = 0;
+  switch (c.dispatch) {
+    case Dispatch::kGemmB: m = kStream, n = c.out, k = c.reduce; break;
+    case Dispatch::kGemmA: m = c.out, n = kStream, k = c.reduce; break;
+    case Dispatch::kGemv: m = c.out, n = c.reduce; break;
+    case Dispatch::kGemvT: m = c.reduce, n = c.out; break;
+  }
+
+  Platform p{RuntimeConfig{}, cim::AcceleratorParams{}, sim::SystemParams{},
+             /*accelerators=*/2};
+  ASSERT_TRUE(p.runtime().init(0).is_ok());
+  const std::size_t rows = p.accel().tile().rows();
+  const std::size_t cols = p.accel().tile().cols();
+  ASSERT_EQ(rows, 256u);
+  ASSERT_EQ(cols, 256u);
+
+  const auto a = random_matrix(gemm ? m * k : m * n, 1.0, 81);
+  const auto b = random_matrix(gemm ? k * n : c.reduce, 1.0, 82);
+  auto want = random_matrix(gemm ? m * n : c.out, 1.0, 83);
+  const auto va_a = p.upload(a);
+  const auto va_b = p.upload(b);
+  const auto va_c = p.upload(want);
+  const float alpha = 1.5f, beta = 0.5f;
+  const auto call = [&] {
+    if (gemm) {
+      return p.runtime().sgemm_with_stationary(m, n, k, alpha, va_a, k, va_b, n,
+                                               beta, va_c, n, stationary,
+                                               /*cacheable=*/true);
+    }
+    TDO_RETURN_IF_ERROR(p.runtime().sgemv_async(transpose, m, n, alpha, va_a, n,
+                                                va_b, beta, va_c,
+                                                /*cacheable=*/true));
+    return p.runtime().synchronize();
+  };
+  const auto weight_writes = [&] {
+    return p.accel(0).report().weight_writes8 + p.accel(1).report().weight_writes8;
+  };
+
+  ASSERT_TRUE(call().is_ok());
+  if (gemm) {
+    ref_gemm(m, n, k, alpha, a, k, b, n, beta, want, n);
+  } else {
+    ref_gemv(transpose, m, n, alpha, a, n, b, beta, want);
+  }
+  const auto got = p.read_floats(va_c, want.size());
+  const double bound = gemm_error_bound(1.0, 1.0, c.reduce, alpha);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], bound) << "element " << i;
+  }
+  EXPECT_EQ(p.runtime().stats().tile_jobs,
+            ((c.reduce + rows - 1) / rows) * ((c.out + cols - 1) / cols));
+
+  const std::uint64_t first_writes = weight_writes();
+  EXPECT_EQ(first_writes, c.reduce * c.out);
+  ASSERT_TRUE(call().is_ok());
+  // A stripe whose chain fits the crossbar stays resident and the repeat
+  // programs nothing. A taller chain evicts its own tiles (LRU) and
+  // reprograms in full.
+  EXPECT_EQ(weight_writes() - first_writes, c.reduce <= rows ? 0 : first_writes);
+
+  if (gemm) {
+    const bool stationary_b = stationary == cim::StationaryOperand::kB;
+    const sim::VirtAddr stat = stationary_b ? va_b : va_a;
+    const auto device = p.runtime().weight_affinity(
+        m, n, k, stat, stationary_b ? n : k, stationary);
+    ASSERT_TRUE(device.has_value());
+    // Row window 0 of that accelerator holds a tile of the stationary
+    // operand (every stripe's first placement lands there).
+    const auto* tile = p.accel(static_cast<std::size_t>(*device))
+                           .engine()
+                           .programmed_tile(0);
+    ASSERT_NE(tile, nullptr);
+    const auto stat_pa = p.system().mmu().translate(stat);
+    ASSERT_TRUE(stat_pa.is_ok());
+    EXPECT_EQ(tile->layout, stationary);
+    EXPECT_GE(tile->pa, *stat_pa);
+    EXPECT_LT(tile->pa, *stat_pa + (stationary_b ? k * n : m * k) * sizeof(float));
+  }
+}
+
+std::vector<TiledCase> tiled_cases() {
+  std::vector<TiledCase> cases;
+  for (const Dispatch d : {Dispatch::kGemmB, Dispatch::kGemmA, Dispatch::kGemv,
+                           Dispatch::kGemvT}) {
+    for (const std::size_t reduce : {64, 300}) {
+      for (const std::size_t out : {48, 300}) cases.push_back({d, reduce, out});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, TiledDispatchTest,
+                         ::testing::ValuesIn(tiled_cases()), tiled_case_name);
 
 }  // namespace
 }  // namespace tdo::rt

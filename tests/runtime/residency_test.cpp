@@ -195,6 +195,30 @@ TEST(ResidencyTest, AffinityRoutesToTheResidentAccelerator) {
   EXPECT_EQ(p.runtime().residency().report().hits, 3u);
 }
 
+TEST(ResidencyTest, CallerCentricBatchesIgnoreResidency) {
+  // Caller-centric placement ignores residency: an unpinned cacheable batch
+  // takes the round-robin pick, not the accelerator holding its weights.
+  Platform p{residency_config(), cim::AcceleratorParams{}, sim::SystemParams{},
+             /*accelerators=*/2};
+  ASSERT_TRUE(p.runtime().init(0).is_ok());
+  p.runtime().set_placement(topo::Placement::kCallerCentric);
+  const std::size_t m = 16, n = 32, k = 32;
+  const auto va_a = p.upload(random_matrix(m * k, 1.0, 71));
+  const auto va_b = p.upload(random_matrix(k * n, 1.0, 72));
+  const auto va_c = p.device_zeros(m * n);
+  const std::vector<GemmBatchItem> items = {{va_a, va_b, va_c}};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(p.runtime()
+                    .sgemm_batched(m, n, k, 1.0f, items, k, n, 0.0f, n,
+                                   cim::StationaryOperand::kB,
+                                   /*cacheable=*/true)
+                    .is_ok());
+  }
+  EXPECT_EQ(p.accel(0).report().jobs, 1u);
+  EXPECT_EQ(p.accel(1).report().jobs, 1u);
+  EXPECT_EQ(p.runtime().residency().report().hits, 0u);
+}
+
 TEST(ResidencyTest, AffinityDoesNotStarveAnAcceleratorWithQueuedWork) {
   // Accelerator 1 has a queue of B2 work; a burst of affinity-routed B1
   // calls lands on accelerator 0. Everything must drain: the affinity
