@@ -1,6 +1,7 @@
 #include "cim/cim_tile.hpp"
 
 #include <cassert>
+#include <utility>
 
 namespace tdo::cim {
 
@@ -41,9 +42,8 @@ std::vector<std::int32_t> CimTile::gemv(std::span<const std::int8_t> inputs,
       crossbar_.gemv(inputs, active_rows, active_cols, nullptr, row0);
   // Each logical column needs two nibble-column conversions through the
   // shared ADCs; saturating behaviour is configurable via AdcParams.
-  std::vector<std::int32_t> out(active_cols);
-  for (std::uint32_t c = 0; c < active_cols; ++c) {
-    out[c] = static_cast<std::int32_t>(adc_.convert(raw.acc[c]));
+  for (std::int32_t& acc : raw.acc) {
+    acc = static_cast<std::int32_t>(adc_.convert(acc));
   }
   // Results land in the output buffers (4 bytes each).
   stats_.buffer_byte_accesses += static_cast<std::uint64_t>(active_cols) * 4;
@@ -51,7 +51,7 @@ std::vector<std::int32_t> CimTile::gemv(std::span<const std::int8_t> inputs,
   stats_.mac8_ops += static_cast<std::uint64_t>(active_rows) * active_cols;
   // Offset-correction arithmetic done digitally per column (2 mul-add).
   stats_.extra_alu_ops += static_cast<std::uint64_t>(active_cols) * 2;
-  return out;
+  return std::move(raw.acc);
 }
 
 float CimTile::postprocess(std::int32_t acc, double scale, float alpha,

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "support/fixed_point.hpp"
-
 namespace tdo::pcm {
 
 namespace {
@@ -13,17 +11,25 @@ namespace {
 [[nodiscard]] constexpr std::uint8_t to_offset(std::int8_t v) {
   return static_cast<std::uint8_t>(static_cast<int>(v) + 128);
 }
-[[nodiscard]] constexpr std::int8_t from_offset(std::uint8_t u) {
-  return static_cast<std::int8_t>(static_cast<int>(u) - 128);
+
+/// Analog conductance of a cell at `level` (0 = high-resistance amorphous),
+/// linearly interpolated across the 2^bits levels, with one relative read
+/// noise draw from `rng`.
+[[nodiscard]] double noisy_conductance(const CellParams& p, std::uint8_t level,
+                                       support::Rng& rng) {
+  const double span = p.g_max_siemens - p.g_min_siemens;
+  const double ideal = p.g_min_siemens +
+                       span * static_cast<double>(level) /
+                           static_cast<double>((1u << p.bits) - 1);
+  return ideal * (1.0 + rng.normal(0.0, p.read_noise_sigma));
 }
 }  // namespace
 
 Crossbar::Crossbar(CrossbarParams params)
-    : params_{params}, phys_cols_{params.cols * 2} {
-  cells_.assign(static_cast<std::size_t>(params_.rows) * phys_cols_,
-                PcmCell{params_.cell});
-  column_weight_sums_.assign(params_.cols, 0);
-}
+    : params_{params},
+      // A fresh cell holds level 0 on both nibbles: offset 0, weight -128.
+      weights_(capacity_weights(), std::int8_t{-128}),
+      cell_writes_(2 * capacity_weights(), 0) {}
 
 std::uint64_t Crossbar::write_row(std::uint32_t row,
                                   std::span<const std::int8_t> weights,
@@ -32,17 +38,13 @@ std::uint64_t Crossbar::write_row(std::uint32_t row,
   assert(weights.size() <= params_.cols);
   const std::uint32_t end =
       clear_tail ? params_.cols : static_cast<std::uint32_t>(weights.size());
-  std::uint64_t writes = 0;
+  const std::size_t base = index(row, 0);
   for (std::uint32_t c = 0; c < end; ++c) {
-    const std::int8_t w = c < weights.size() ? weights[c] : std::int8_t{0};
-    const std::uint8_t u = to_offset(w);
-    // Maintain the per-column unsigned sum for offset correction.
-    const std::uint8_t old_u = to_offset(weight_at(row, c));
-    column_weight_sums_[c] += static_cast<std::int64_t>(u) - old_u;
-    cell(row, 2 * c).program(static_cast<std::uint8_t>(u >> 4));
-    cell(row, 2 * c + 1).program(static_cast<std::uint8_t>(u & 0xF));
-    writes += 2;
+    weights_[base + c] = c < weights.size() ? weights[c] : std::int8_t{0};
+    ++cell_writes_[2 * (base + c)];
+    ++cell_writes_[2 * (base + c) + 1];
   }
+  const std::uint64_t writes = 2ull * end;
   total_cell_writes_ += writes;
   return writes;
 }
@@ -54,80 +56,69 @@ GemvResult Crossbar::gemv(std::span<const std::int8_t> inputs,
   assert(active_cols <= params_.cols);
   assert(inputs.size() >= active_rows);
 
-  // Input offset sum, computed by the digital logic at the row buffers.
-  std::int64_t input_sum_u = 0;
-  for (std::uint32_t r = 0; r < active_rows; ++r) {
-    input_sum_u += to_offset(inputs[r]);
-  }
-
   GemvResult result;
   result.acc.assign(active_cols, 0);
 
   const bool noisy = rng != nullptr && params_.cell.read_noise_sigma > 0.0;
-  const double g_min = params_.cell.g_min_siemens;
-  const double g_span = params_.cell.g_max_siemens - g_min;
-  const double level_max = 15.0;
-
-  for (std::uint32_t c = 0; c < active_cols; ++c) {
-    std::int64_t acc_u;  // sum over rows of in_u * w_u for this column
-    if (!noisy) {
-      // Exact digital-equivalent evaluation of the two nibble columns.
-      std::int64_t msb_sum = 0;
-      std::int64_t lsb_sum = 0;
-      for (std::uint32_t r = 0; r < active_rows; ++r) {
-        const auto in_u = static_cast<std::int64_t>(to_offset(inputs[r]));
-        msb_sum += in_u * cell(row0 + r, 2 * c).level();
-        lsb_sum += in_u * cell(row0 + r, 2 * c + 1).level();
-      }
-      acc_u = 16 * msb_sum + lsb_sum;  // digital weighted sum (Section II-B)
-    } else {
-      // Analog path: currents through noisy conductances, converted back to
-      // level units before the weighted sum, mimicking per-column ADCs.
-      double msb_current = 0.0;
-      double lsb_current = 0.0;
-      for (std::uint32_t r = 0; r < active_rows; ++r) {
-        const auto in_u = static_cast<double>(to_offset(inputs[r]));
-        msb_current += in_u * (cell(row0 + r, 2 * c).conductance(rng) - g_min);
-        lsb_current += in_u * (cell(row0 + r, 2 * c + 1).conductance(rng) - g_min);
-      }
-      const double to_levels = level_max / g_span;
-      acc_u = 16 * static_cast<std::int64_t>(std::llround(msb_current * to_levels)) +
-              static_cast<std::int64_t>(std::llround(lsb_current * to_levels));
+  if (!noisy) {
+    // Noise-free: the offset-corrected nibble sum equals the signed dot
+    // product (header comment), so accumulate it directly, row by row over
+    // contiguous weights. |sum| <= 256 * 128 * 128 < 2^31.
+    std::int32_t* acc = result.acc.data();
+    for (std::uint32_t r = 0; r < active_rows; ++r) {
+      const std::int32_t in = inputs[r];
+      const std::int8_t* w = &weights_[index(row0 + r, 0)];
+      for (std::uint32_t c = 0; c < active_cols; ++c) acc[c] += in * w[c];
     }
-    // Offset correction: sum (in_u - 128)(w_u - 128)
-    //   = sum in_u*w_u - 128*sum(in_u) - 128*sum(w_u over active rows) + 128^2*n.
-    // column_weight_sums_ covers all rows; inactive rows hold offset-zero
-    // (u=128) only if programmed; to stay exact we recompute the active-row
-    // weight sum digitally — this is the "mask register" role of the
-    // row buffers (Section II-B).
+    return result;
+  }
+
+  // Analog path: currents through noisy conductances, converted back to
+  // level units before the weighted sum, mimicking per-column ADCs. Draws
+  // run column by column, MSB cell before LSB cell of each row.
+  std::int64_t input_sum_u = 0;
+  for (std::uint32_t r = 0; r < active_rows; ++r) {
+    input_sum_u += to_offset(inputs[r]);
+  }
+  const double g_min = params_.cell.g_min_siemens;
+  const double to_levels = 15.0 / (params_.cell.g_max_siemens - g_min);
+  for (std::uint32_t c = 0; c < active_cols; ++c) {
+    double msb_current = 0.0;
+    double lsb_current = 0.0;
     std::int64_t weight_sum_u = 0;
     for (std::uint32_t r = 0; r < active_rows; ++r) {
-      weight_sum_u += to_offset(weight_at(row0 + r, c));
+      const auto in_u = static_cast<double>(to_offset(inputs[r]));
+      const std::uint8_t w_u = to_offset(weights_[index(row0 + r, c)]);
+      msb_current +=
+          in_u * (noisy_conductance(params_.cell, w_u >> 4, *rng) - g_min);
+      lsb_current +=
+          in_u * (noisy_conductance(params_.cell, w_u & 0xF, *rng) - g_min);
+      weight_sum_u += w_u;
     }
+    const std::int64_t acc_u =
+        16 * static_cast<std::int64_t>(std::llround(msb_current * to_levels)) +
+        static_cast<std::int64_t>(std::llround(lsb_current * to_levels));
+    // Offset correction by the digital logic block: the row buffers supply
+    // sum(in_u) and the active-row weight sum (the "mask register" role of
+    // Section II-B), leaving sum (in_u - 128)(w_u - 128).
     const std::int64_t n = active_rows;
-    const std::int64_t corrected =
-        acc_u - 128 * input_sum_u - 128 * weight_sum_u + 128LL * 128LL * n;
-    result.acc[c] = static_cast<std::int32_t>(corrected);
+    result.acc[c] = static_cast<std::int32_t>(
+        acc_u - 128 * input_sum_u - 128 * weight_sum_u + 128LL * 128LL * n);
   }
   return result;
 }
 
-std::int8_t Crossbar::weight_at(std::uint32_t row, std::uint32_t col) const {
-  const std::uint8_t u = static_cast<std::uint8_t>(
-      (cell(row, 2 * col).level() << 4) | cell(row, 2 * col + 1).level());
-  return from_offset(u);
-}
-
 std::uint64_t Crossbar::max_cell_writes() const {
-  std::uint64_t max_writes = 0;
-  for (const PcmCell& c : cells_) max_writes = std::max(max_writes, c.writes());
-  return max_writes;
+  return cell_writes_.empty()
+             ? 0
+             : *std::max_element(cell_writes_.begin(), cell_writes_.end());
 }
 
 std::uint64_t Crossbar::worn_cells() const {
+  const std::uint64_t limit = params_.cell.endurance_writes;
   return static_cast<std::uint64_t>(
-      std::count_if(cells_.begin(), cells_.end(),
-                    [](const PcmCell& c) { return c.worn_out(); }));
+      std::count_if(cell_writes_.begin(), cell_writes_.end(),
+                    [limit](std::uint64_t w) { return w >= limit; }));
 }
 
 }  // namespace tdo::pcm

@@ -5,11 +5,18 @@
 // "IBM PCM 2x(256x256 @4-bit)" configuration in Table I.
 //
 // Signed arithmetic uses offset-binary encoding with digital correction:
-// weights and inputs are stored/applied as unsigned (value + 128); the
-// digital logic block removes the offset terms using per-column weight sums
-// (updated at programming time) and the per-GEMV input sum. This is a
-// standard crossbar technique and keeps conductances non-negative while
-// recovering the exact signed fixed-point dot product.
+// weights and inputs are applied as unsigned (value + 128), which keeps
+// conductances non-negative, and the digital logic block removes the offset
+// terms with the per-GEMV input and weight sums. Because
+//   sum (in+128)(w+128) - 128 sum(in+128) - 128 sum(w+128) + 128^2 n
+//     = sum in*w,
+// the corrected hardware result is exactly the signed dot product. The
+// noise-free path therefore computes that dot product directly from the
+// stored signed weights; only the noisy path models the nibble currents.
+//
+// Storage: one row-major int8 weight per logical cell pair (the nibble
+// levels are (w+128)>>4 and (w+128)&15) plus one write counter per physical
+// cell for wear accounting.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +25,6 @@
 
 #include "pcm/cell.hpp"
 #include "support/rng.hpp"
-#include "support/stats.hpp"
 
 namespace tdo::pcm {
 
@@ -48,7 +54,10 @@ class Crossbar {
 
   /// Programs one row of signed 8-bit weights. `weights.size()` must be
   /// <= cols(); remaining columns are programmed to zero only when
-  /// `clear_tail` is set. Returns the number of cell writes performed.
+  /// `clear_tail` is set. Every programmed weight counts one write on each of
+  /// its two cells, even when the level is unchanged (the program-and-verify
+  /// sequence always applies a RESET pulse first). Returns the number of
+  /// cell writes performed.
   std::uint64_t write_row(std::uint32_t row, std::span<const std::int8_t> weights,
                           bool clear_tail = false);
 
@@ -57,7 +66,7 @@ class Crossbar {
   /// contiguous row window, so several stationary tiles can coexist in
   /// disjoint row ranges). The computation is exact in fixed point (see
   /// header comment); read noise, if enabled in CellParams, perturbs the
-  /// analog accumulation.
+  /// analog accumulation. Unprogrammed cells hold level 0, i.e. weight -128.
   [[nodiscard]] GemvResult gemv(std::span<const std::int8_t> inputs,
                                 std::uint32_t active_rows,
                                 std::uint32_t active_cols,
@@ -65,7 +74,9 @@ class Crossbar {
                                 std::uint32_t row0 = 0) const;
 
   /// Digital view of a stored weight (for tests and for result verification).
-  [[nodiscard]] std::int8_t weight_at(std::uint32_t row, std::uint32_t col) const;
+  [[nodiscard]] std::int8_t weight_at(std::uint32_t row, std::uint32_t col) const {
+    return weights_[index(row, col)];
+  }
 
   // --- wear accounting (drives Figure 5) ---
   [[nodiscard]] std::uint64_t total_cell_writes() const { return total_cell_writes_; }
@@ -74,20 +85,15 @@ class Crossbar {
   [[nodiscard]] const CrossbarParams& params() const { return params_; }
 
  private:
-  // Physical layout: per logical column c, MSB cells at 2c, LSB at 2c+1.
-  [[nodiscard]] PcmCell& cell(std::uint32_t row, std::uint32_t phys_col) {
-    return cells_[static_cast<std::size_t>(row) * phys_cols_ + phys_col];
-  }
-  [[nodiscard]] const PcmCell& cell(std::uint32_t row, std::uint32_t phys_col) const {
-    return cells_[static_cast<std::size_t>(row) * phys_cols_ + phys_col];
+  // Physical layout: logical weight i = row * cols + c owns the MSB cell
+  // 2i and the LSB cell 2i + 1 of `cell_writes_`.
+  [[nodiscard]] std::size_t index(std::uint32_t row, std::uint32_t col) const {
+    return static_cast<std::size_t>(row) * params_.cols + col;
   }
 
   CrossbarParams params_;
-  std::uint32_t phys_cols_;
-  std::vector<PcmCell> cells_;
-  /// Offset-correction state maintained by the digital interface: sum of
-  /// unsigned stored weights per logical column.
-  std::vector<std::int64_t> column_weight_sums_;
+  std::vector<std::int8_t> weights_;
+  std::vector<std::uint64_t> cell_writes_;
   std::uint64_t total_cell_writes_ = 0;
 };
 

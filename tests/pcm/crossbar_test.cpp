@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "support/rng.hpp"
@@ -88,6 +90,7 @@ TEST(CrossbarTest, PartialRowWriteOnlyTouchesPrefix) {
   EXPECT_EQ(xbar.weight_at(1, 0), 9);
   EXPECT_EQ(xbar.weight_at(1, 1), 9);
   EXPECT_EQ(xbar.total_cell_writes(), 4u);
+  EXPECT_EQ(xbar.weight_at(1, 2), -128);  // never programmed
 }
 
 TEST(CrossbarTest, ClearTailProgramsWholeRow) {
@@ -110,6 +113,9 @@ TEST(CrossbarTest, ReadNoisePerturbsButTracksIdealResult) {
   support::Rng rng{42};
   const GemvResult noisy = xbar.gemv(in, 16, 4, &rng);
   const std::int32_t ideal = 16 * 50 * 100;
+  // Exact values for this seed pin the draw order: columns outer, rows
+  // inner, the MSB cell's draw before the LSB cell's.
+  EXPECT_EQ(noisy.acc, (std::vector<std::int32_t>{78282, 79603, 75277, 79007}));
   for (std::uint32_t c = 0; c < 4; ++c) {
     EXPECT_NE(noisy.acc[c], 0);
     // 1% device noise must stay well within 10% of the ideal accumulation.
@@ -133,42 +139,138 @@ TEST(CrossbarTest, WornOutDetectionAfterEnduranceLimit) {
   EXPECT_EQ(xbar.worn_cells(), 2u);  // both nibble cells hit the limit
 }
 
-class CrossbarGemvPropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+/// One property case: a `rows x cols` crossbar, a GEMV over the row window
+/// [row0, row0 + active_rows) and the first `active_cols` columns, and a
+/// programming layout. `partial` leaves some rows unprogrammed (they read
+/// -128) and writes others with short rows, with and without `clear_tail`,
+/// over earlier writes of the same row.
+struct GemvCase {
+  int rows;
+  int cols;
+  int seed;
+  int row0;
+  int active_rows;  // -1: every row from row0 on
+  int active_cols;  // -1: every column
+  bool partial;
+};
+
+/// The whole array, fully programmed.
+[[nodiscard]] GemvCase full_array(int rows, int cols, int seed) {
+  return GemvCase{rows, cols, seed, 0, -1, -1, false};
+}
+
+/// `full_array` cases print as "(rows, cols, seed)"; window and layout
+/// fields are appended only when they differ from `full_array`'s.
+void PrintTo(const GemvCase& c, std::ostream* os) {
+  *os << "(" << c.rows << ", " << c.cols << ", " << c.seed;
+  if (c.row0 != 0 || c.active_rows >= 0 || c.active_cols >= 0) {
+    *os << ", row0=" << c.row0 << ", " << c.active_rows << "x" << c.active_cols;
+  }
+  if (c.partial) *os << ", partial";
+  *os << ")";
+}
+
+class CrossbarGemvPropertyTest : public ::testing::TestWithParam<GemvCase> {};
 
 TEST_P(CrossbarGemvPropertyTest, MatchesIntegerReferenceOnRandomData) {
-  const auto [rows, cols, seed] = GetParam();
+  const GemvCase& tc = GetParam();
+  const int rows = tc.rows;
+  const int cols = tc.cols;
+  const int active_rows = tc.active_rows >= 0 ? tc.active_rows : rows - tc.row0;
+  const int active_cols = tc.active_cols >= 0 ? tc.active_cols : cols;
   CrossbarParams params;
   params.rows = static_cast<std::uint32_t>(rows);
   params.cols = static_cast<std::uint32_t>(cols);
+  params.cell.endurance_writes = 2;
   Crossbar xbar{params};
-  support::Rng rng{static_cast<std::uint64_t>(seed)};
+  support::Rng rng{static_cast<std::uint64_t>(tc.seed)};
 
-  std::vector<std::vector<std::int8_t>> w(rows, std::vector<std::int8_t>(cols));
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      w[r][c] = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+  // Reference model: weights (fresh cells read -128) and per-weight write
+  // counts (both nibble cells of a weight are always written together).
+  std::vector<std::vector<std::int8_t>> w(rows, std::vector<std::int8_t>(cols, -128));
+  std::vector<std::vector<std::uint64_t>> writes(rows,
+                                                 std::vector<std::uint64_t>(cols, 0));
+  auto program = [&](int r, int len, bool clear_tail) {
+    std::vector<std::int8_t> row(static_cast<std::size_t>(len));
+    for (auto& v : row) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+    const int end = clear_tail ? cols : len;
+    for (int c = 0; c < end; ++c) {
+      w[r][c] = c < len ? row[c] : std::int8_t{0};
+      ++writes[r][c];
     }
-    xbar.write_row(static_cast<std::uint32_t>(r), w[r]);
+    EXPECT_EQ(xbar.write_row(static_cast<std::uint32_t>(r), row, clear_tail),
+              2u * static_cast<std::uint64_t>(end));
+  };
+  for (int r = 0; r < rows; ++r) {
+    if (!tc.partial) {
+      program(r, cols, false);
+      continue;
+    }
+    const auto short_len = [&] { return static_cast<int>(rng.uniform_int(0, cols - 1)); };
+    switch (r % 4) {
+      case 0:  // never programmed
+        break;
+      case 1:  // short row, tail keeps its fresh -128 cells
+        program(r, short_len(), false);
+        break;
+      case 2:  // full row, then an overlapping short rewrite
+        program(r, cols, false);
+        program(r, short_len(), false);
+        break;
+      default:  // full row, then a short rewrite that clears the tail
+        program(r, cols, false);
+        program(r, short_len(), true);
+        break;
+    }
   }
-  std::vector<std::int8_t> in(rows);
+  std::vector<std::int8_t> in(static_cast<std::size_t>(active_rows));
   for (auto& v : in) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
 
-  const GemvResult result = xbar.gemv(in, params.rows, params.cols);
-  for (int c = 0; c < cols; ++c) {
+  const GemvResult result =
+      xbar.gemv(in, static_cast<std::uint32_t>(active_rows),
+                static_cast<std::uint32_t>(active_cols), nullptr,
+                static_cast<std::uint32_t>(tc.row0));
+  ASSERT_EQ(result.acc.size(), static_cast<std::size_t>(active_cols));
+  for (int c = 0; c < active_cols; ++c) {
     std::int64_t expected = 0;
-    for (int r = 0; r < rows; ++r) {
-      expected += static_cast<std::int64_t>(in[r]) * w[r][c];
+    for (int r = 0; r < active_rows; ++r) {
+      expected += static_cast<std::int64_t>(in[r]) * w[tc.row0 + r][c];
     }
     EXPECT_EQ(result.acc[c], expected) << "col " << c;
   }
+
+  std::uint64_t total = 0;
+  std::uint64_t max_writes = 0;
+  std::uint64_t worn = 0;
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      EXPECT_EQ(xbar.weight_at(static_cast<std::uint32_t>(r),
+                               static_cast<std::uint32_t>(c)),
+                w[r][c])
+          << "row " << r << " col " << c;
+      total += 2 * writes[r][c];
+      max_writes = std::max(max_writes, writes[r][c]);
+      if (writes[r][c] >= params.cell.endurance_writes) worn += 2;
+    }
+  }
+  EXPECT_EQ(xbar.total_cell_writes(), total);
+  EXPECT_EQ(xbar.max_cell_writes(), max_writes);
+  EXPECT_EQ(xbar.worn_cells(), worn);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, CrossbarGemvPropertyTest,
-    ::testing::Values(std::tuple{1, 1, 1}, std::tuple{7, 3, 2},
-                      std::tuple{16, 16, 3}, std::tuple{64, 32, 4},
-                      std::tuple{256, 256, 5}, std::tuple{33, 257 - 1, 6}));
+    ::testing::Values(full_array(1, 1, 1), full_array(7, 3, 2),
+                      full_array(16, 16, 3), full_array(64, 32, 4),
+                      full_array(256, 256, 5), full_array(33, 257 - 1, 6),
+                      // Row windows and partly programmed layouts.
+                      GemvCase{64, 32, 7, 16, 24, 20, true},
+                      GemvCase{256, 256, 8, 100, 156, 256, true},
+                      GemvCase{256, 256, 9, 0, 256, 256, true},
+                      GemvCase{33, 17, 10, 32, 1, 1, true},
+                      GemvCase{16, 16, 11, 5, 0, 16, true},
+                      GemvCase{16, 16, 12, 3, 7, 0, false},
+                      GemvCase{40, 9, 13, 13, 20, 5, false}));
 
 }  // namespace
 }  // namespace tdo::pcm
