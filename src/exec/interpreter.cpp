@@ -1,7 +1,10 @@
 #include "exec/interpreter.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <span>
+#include <string>
 
 #include "support/log.hpp"
 
@@ -9,6 +12,27 @@ namespace tdo::exec {
 
 using support::Status;
 using support::StatusOr;
+
+namespace {
+
+/// Calls `fn(pa, done, len)` for each page-bounded span of the `bytes` bytes
+/// at `va`: one translation per page rather than one per element.
+template <typename Fn>
+Status for_each_page(const sim::Mmu& mmu, sim::VirtAddr va, std::size_t bytes,
+                     Fn&& fn) {
+  for (std::size_t done = 0; done < bytes;) {
+    const sim::VirtAddr at = va + done;
+    const std::size_t len = std::min<std::size_t>(
+        bytes - done, sim::kPageSize - sim::page_offset(at));
+    const auto pa = mmu.translate(at);
+    if (!pa.is_ok()) return pa.status();
+    fn(*pa, done, len);
+    done += len;
+  }
+  return Status::ok();
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Prepared executable form
@@ -18,8 +42,7 @@ struct Interpreter::PreparedExpr {
   enum class Kind { kLoad, kConst, kBin };
   Kind kind = Kind::kConst;
   // kLoad
-  const ArrayInfo* array = nullptr;
-  PreparedAffine offset;
+  PreparedAccess load;
   // kConst (also used for scalar params, resolved at prepare time)
   double value = 0.0;
   // kBin
@@ -29,8 +52,7 @@ struct Interpreter::PreparedExpr {
 };
 
 struct Interpreter::PreparedStmt {
-  const ArrayInfo* array = nullptr;
-  PreparedAffine offset;
+  PreparedAccess lhs;
   bool accumulate = false;
   /// lhs address is invariant in the innermost enclosing loop: -O3 keeps the
   /// accumulator in a register, so no per-iteration lhs load/store occurs.
@@ -87,23 +109,26 @@ Status Interpreter::set_array(const std::string& name,
   if (static_cast<std::int64_t>(data.size()) != info->decl.element_count()) {
     return support::invalid_argument("size mismatch setting " + name);
   }
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    auto pa = system_.mmu().translate(info->host_va + i * 4);
-    if (!pa.is_ok()) return pa.status();
-    system_.memory().write_scalar<float>(*pa, data[i]);
-  }
-  return Status::ok();
+  const std::span<const std::uint8_t> bytes{
+      reinterpret_cast<const std::uint8_t*>(data.data()), data.size_bytes()};
+  return for_each_page(
+      system_.mmu(), info->host_va, bytes.size(),
+      [&](sim::PhysAddr pa, std::size_t done, std::size_t len) {
+        system_.memory().write(pa, bytes.subspan(done, len));
+      });
 }
 
 StatusOr<std::vector<float>> Interpreter::get_array(const std::string& name) {
   const ArrayInfo* info = find_array(name);
   if (info == nullptr) return support::not_found("unknown array " + name);
   std::vector<float> out(static_cast<std::size_t>(info->decl.element_count()));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    auto pa = system_.mmu().translate(info->host_va + i * 4);
-    if (!pa.is_ok()) return pa.status();
-    out[i] = system_.memory().read_scalar<float>(*pa);
-  }
+  const std::span<std::uint8_t> bytes{
+      reinterpret_cast<std::uint8_t*>(out.data()), out.size() * sizeof(float)};
+  TDO_RETURN_IF_ERROR(for_each_page(
+      system_.mmu(), info->host_va, bytes.size(),
+      [&](sim::PhysAddr pa, std::size_t done, std::size_t len) {
+        system_.memory().read(pa, bytes.subspan(done, len));
+      }));
   return out;
 }
 
@@ -253,6 +278,121 @@ Status Interpreter::exec_item(const ProgramItem& item) {
 // Host nest preparation + execution
 // ---------------------------------------------------------------------------
 
+/// Execute half of exec_nest: walks the prepared tree by direct recursion.
+/// Each access site charges the host model in program order (loads as the
+/// expression tree evaluates them, then the lhs load/store, then the
+/// statement's ALU/FP bundle), so cycles, stalls and cache state are the
+/// same as executing the source statement by statement.
+class Interpreter::NestExecutor {
+ public:
+  explicit NestExecutor(Interpreter& interp)
+      : interp_{interp},
+        cpu_{interp.system_.cpu()},
+        mmu_{interp.system_.mmu()},
+        mem_{interp.system_.memory()} {}
+
+  Status run(std::vector<PreparedNode>& nodes) {
+    const CostModelParams& cost = interp_.cost_;
+    for (PreparedNode& node : nodes) {
+      if (auto* loop = std::get_if<PreparedLoop>(&node.value)) {
+        const std::int64_t lo = loop->lower.eval(env_);
+        std::uint32_t unroll_phase = 0;
+        for (std::int64_t i = lo;; i += loop->step) {
+          std::int64_t hi = loop->upper.expr.eval(env_);
+          if (loop->upper.has_min) {
+            hi = std::min(hi, loop->upper.min_with.eval(env_));
+          }
+          if (i >= hi) break;
+          env_[static_cast<std::size_t>(loop->slot)] = i;
+          // Loop bookkeeping amortizes across the unroll factor at -O3.
+          if (unroll_phase == 0) {
+            cpu_.issue(sim::InstBundle{.int_alu = cost.loop_int_ops,
+                                       .branches = cost.loop_branches});
+          }
+          if (++unroll_phase >= cost.unroll_factor) unroll_phase = 0;
+          TDO_RETURN_IF_ERROR(run(loop->body));
+        }
+      } else {
+        auto& stmt = std::get<PreparedStmt>(node.value);
+        ++interp_.stmts_executed_;
+        double value = eval(*stmt.rhs);
+        sim::PhysAddr pa = 0;
+        if (!fault_.is_ok() || !locate(stmt.lhs, &pa)) return fault_;
+        if (stmt.accumulate) {
+          if (!stmt.lhs_promoted) cpu_.load(pa);
+          value += static_cast<double>(
+              mem_.read_scalar<float>(pa, stmt.lhs.memo));
+        }
+        mem_.write_scalar<float>(pa, static_cast<float>(value), stmt.lhs.memo);
+        if (!stmt.lhs_promoted) cpu_.store(pa);
+        cpu_.issue(sim::InstBundle{.int_alu = stmt.addr_int_ops,
+                                   .fp_ops = stmt.fp_ops});
+      }
+    }
+    return Status::ok();
+  }
+
+ private:
+  /// Physical address of the element `site` addresses under the current
+  /// induction variables. False, with fault_ set, when the flattened offset
+  /// leaves the array: such an access would read or clobber a neighbouring
+  /// allocation or an unmapped page.
+  bool locate(PreparedAccess& site, sim::PhysAddr* pa) {
+    const std::int64_t off = site.offset.eval(env_);
+    if (static_cast<std::uint64_t>(off) >= site.elements) {
+      fault_ = support::out_of_range(
+          "subscript of array " + site.array->decl.name + " reaches element " +
+          std::to_string(off) + " of " + std::to_string(site.elements));
+      return false;
+    }
+    const sim::VirtAddr va =
+        site.array->host_va + static_cast<std::uint64_t>(off) * 4;
+    if (sim::page_of(va) != site.vpage) {
+      const auto frame = mmu_.translate(va);
+      if (!frame.is_ok()) {
+        fault_ = frame.status();
+        return false;
+      }
+      site.vpage = sim::page_of(va);
+      site.frame = sim::page_base(*frame);
+    }
+    *pa = site.frame + sim::page_offset(va);
+    return true;
+  }
+
+  double eval(PreparedExpr& e) {
+    switch (e.kind) {
+      case PreparedExpr::Kind::kConst:
+        return e.value;
+      case PreparedExpr::Kind::kLoad: {
+        sim::PhysAddr pa = 0;
+        if (!locate(e.load, &pa)) return 0.0;
+        cpu_.load(pa);
+        return static_cast<double>(mem_.read_scalar<float>(pa, e.load.memo));
+      }
+      case PreparedExpr::Kind::kBin: {
+        const double l = eval(*e.lhs);
+        const double r = eval(*e.rhs);
+        switch (e.op) {
+          case ir::BinOpKind::kAdd: return l + r;
+          case ir::BinOpKind::kSub: return l - r;
+          case ir::BinOpKind::kMul: return l * r;
+          case ir::BinOpKind::kDiv: return l / r;
+        }
+        return 0.0;
+      }
+    }
+    return 0.0;
+  }
+
+  Interpreter& interp_;
+  sim::HostCpu& cpu_;
+  const sim::Mmu& mmu_;
+  sim::SimMemory& mem_;
+  std::vector<std::int64_t> env_ = std::vector<std::int64_t>(32, 0);
+  Status fault_;  // first out-of-bounds or unmapped access; ends the nest
+};
+
 Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
   // --- prepare: resolve names to slots/addresses once ---
   struct PrepareContext {
@@ -275,11 +415,11 @@ Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
 
   auto prep_access = [&](const std::string& array,
                          const std::vector<ir::AffineExpr>& subs,
-                         const ArrayInfo** info_out,
-                         PreparedAffine* offset) -> Status {
+                         PreparedAccess* out) -> Status {
     const ArrayInfo* info = find_array(array);
     if (info == nullptr) return support::not_found("array " + array);
-    *info_out = info;
+    out->array = info;
+    out->elements = static_cast<std::uint64_t>(info->decl.element_count());
     // offset = sum_d subs[d] * stride_d with row-major strides.
     ir::AffineExpr flat;
     std::int64_t stride = 1;
@@ -287,7 +427,7 @@ Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
       flat += subs[d] * stride;
       stride *= info->decl.dims[d];
     }
-    return prep_affine(flat, offset);
+    return prep_affine(flat, &out->offset);
   };
 
   std::function<StatusOr<std::unique_ptr<PreparedExpr>>(const ir::ExprPtr&,
@@ -300,7 +440,7 @@ Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
     if (const auto* load = std::get_if<ir::LoadExpr>(&e->node)) {
       out->kind = PreparedExpr::Kind::kLoad;
       TDO_RETURN_IF_ERROR(
-          prep_access(load->array, load->subscripts, &out->array, &out->offset));
+          prep_access(load->array, load->subscripts, &out->load));
       ++*loads;
       return out;
     }
@@ -366,8 +506,8 @@ Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
         const ir::Stmt& stmt = node.stmt();
         PreparedStmt prepared;
         prepared.accumulate = stmt.accumulate;
-        TDO_RETURN_IF_ERROR(prep_access(stmt.lhs.array, stmt.lhs.subscripts,
-                                        &prepared.array, &prepared.offset));
+        TDO_RETURN_IF_ERROR(
+            prep_access(stmt.lhs.array, stmt.lhs.subscripts, &prepared.lhs));
         std::uint32_t loads = 0;
         auto rhs = prep_expr(stmt.rhs, &prepared.fp_ops, &loads);
         if (!rhs.is_ok()) return rhs.status();
@@ -376,7 +516,7 @@ Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
         if (cost_.promote_accumulators && stmt.accumulate && depth > 0) {
           const int innermost_slot = depth - 1;
           prepared.lhs_promoted = true;
-          for (const auto& [slot, coeff] : prepared.offset.terms) {
+          for (const auto& [slot, coeff] : prepared.lhs.offset.terms) {
             if (slot == innermost_slot && coeff != 0) {
               prepared.lhs_promoted = false;
             }
@@ -394,84 +534,7 @@ Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
 
   auto prepared = prep_body(body, 0);
   if (!prepared.is_ok()) return prepared.status();
-
-  // --- execute ---
-  auto& cpu = system_.cpu();
-  auto& mmu = system_.mmu();
-  auto& mem = system_.memory();
-  std::vector<std::int64_t> env(32, 0);
-
-  std::function<double(const PreparedExpr&)> eval =
-      [&](const PreparedExpr& e) -> double {
-    switch (e.kind) {
-      case PreparedExpr::Kind::kConst:
-        return e.value;
-      case PreparedExpr::Kind::kLoad: {
-        const std::int64_t off = e.offset.eval(env);
-        const auto pa = mmu.translate(e.array->host_va +
-                                      static_cast<std::uint64_t>(off) * 4);
-        assert(pa.is_ok());
-        cpu.load(*pa);
-        return static_cast<double>(mem.read_scalar<float>(*pa));
-      }
-      case PreparedExpr::Kind::kBin: {
-        const double l = eval(*e.lhs);
-        const double r = eval(*e.rhs);
-        switch (e.op) {
-          case ir::BinOpKind::kAdd: return l + r;
-          case ir::BinOpKind::kSub: return l - r;
-          case ir::BinOpKind::kMul: return l * r;
-          case ir::BinOpKind::kDiv: return l / r;
-        }
-        return 0.0;
-      }
-    }
-    return 0.0;
-  };
-
-  std::function<Status(const std::vector<PreparedNode>&)> run_nodes =
-      [&](const std::vector<PreparedNode>& nodes) -> Status {
-    for (const PreparedNode& node : nodes) {
-      if (const auto* loop = std::get_if<PreparedLoop>(&node.value)) {
-        const std::int64_t lo = loop->lower.eval(env);
-        std::uint32_t unroll_phase = 0;
-        for (std::int64_t i = lo;; i += loop->step) {
-          std::int64_t hi = loop->upper.expr.eval(env);
-          if (loop->upper.has_min) {
-            hi = std::min(hi, loop->upper.min_with.eval(env));
-          }
-          if (i >= hi) break;
-          env[static_cast<std::size_t>(loop->slot)] = i;
-          // Loop bookkeeping amortizes across the unroll factor at -O3.
-          if (unroll_phase == 0) {
-            cpu.issue(sim::InstBundle{.int_alu = cost_.loop_int_ops,
-                                      .branches = cost_.loop_branches});
-          }
-          if (++unroll_phase >= cost_.unroll_factor) unroll_phase = 0;
-          TDO_RETURN_IF_ERROR(run_nodes(loop->body));
-        }
-      } else {
-        const auto& stmt = std::get<PreparedStmt>(node.value);
-        ++stmts_executed_;
-        double value = eval(*stmt.rhs);
-        const std::int64_t off = stmt.offset.eval(env);
-        const auto pa = mmu.translate(stmt.array->host_va +
-                                      static_cast<std::uint64_t>(off) * 4);
-        if (!pa.is_ok()) return pa.status();
-        if (stmt.accumulate) {
-          if (!stmt.lhs_promoted) cpu.load(*pa);
-          value += static_cast<double>(mem.read_scalar<float>(*pa));
-        }
-        mem.write_scalar<float>(*pa, static_cast<float>(value));
-        if (!stmt.lhs_promoted) cpu.store(*pa);
-        cpu.issue(sim::InstBundle{.int_alu = stmt.addr_int_ops,
-                                  .fp_ops = stmt.fp_ops});
-      }
-    }
-    return Status::ok();
-  };
-
-  return run_nodes(*prepared);
+  return NestExecutor{*this}.run(*prepared);
 }
 
 }  // namespace tdo::exec

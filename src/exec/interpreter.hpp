@@ -80,10 +80,23 @@ class Interpreter {
     bool has_min = false;
     PreparedAffine min_with;
   };
+  /// One load or store site of a host nest. Besides the flattened element
+  /// offset it memoizes the virtual page it touched last and that page's
+  /// frame, plus the frame's bytes once materialized, so consecutive
+  /// accesses within a page skip both the MMU and the page-table lookup.
+  struct PreparedAccess {
+    const ArrayInfo* array = nullptr;
+    std::uint64_t elements = 0;  // bounds of the flattened offset
+    PreparedAffine offset;
+    std::uint64_t vpage = ~std::uint64_t{0};  // no VA has this page number
+    sim::PhysAddr frame = 0;
+    sim::PageMemo memo;
+  };
   struct PreparedExpr;  // tree
   struct PreparedStmt;
   struct PreparedLoop;
   struct PreparedNode;
+  class NestExecutor;
 
   support::Status exec_item(const ProgramItem& item);
   support::Status exec_nest(const std::vector<ir::Node>& body);

@@ -358,11 +358,12 @@ support::Status CimRuntime::scan(Operand& op) {
   TDO_RETURN_IF_ERROR(locate(view));
   auto& cpu = system_.cpu();
   auto& mem = system_.memory();
+  sim::PageMemo page;
   double max_abs = 0.0;
   for (std::uint64_t r = 0; r < view.rows; ++r) {
     const sim::PhysAddr row_pa = view.rect.base + r * view.rect.pitch;
     for (std::uint64_t c = 0; c < view.cols; ++c) {
-      const float v = mem.read_scalar<float>(row_pa + c * kElem);
+      const float v = mem.read_scalar<float>(row_pa + c * kElem, page);
       max_abs = std::max(max_abs, static_cast<double>(std::fabs(v)));
       cpu.load(row_pa + c * kElem);
       cpu.issue(sim::InstBundle{.fp_ops = 2, .branches = 1});  // fabs+max+loop

@@ -41,22 +41,23 @@ HostPoolTicket HostWorkerPool::submit(const HostStripeJob& job) {
   // CPU-fallback loop); timing is booked on the worker's own clock so it
   // overlaps the accelerator instead of blocking the driver thread.
   auto& mem = system_.memory();
+  sim::PageMemo a_page, b_page, c_page;
   for (std::uint64_t i = 0; i < job.m; ++i) {
     for (std::uint64_t j = 0; j < job.n; ++j) {
       double acc = 0.0;
       for (std::uint64_t kk = 0; kk < job.k; ++kk) {
-        acc += static_cast<double>(
-                   mem.read_scalar<float>(job.pa_a + (i * job.lda + kk) * 4)) *
-               static_cast<double>(
-                   mem.read_scalar<float>(job.pa_b + (kk * job.ldb + j) * 4));
+        acc += static_cast<double>(mem.read_scalar<float>(
+                   job.pa_a + (i * job.lda + kk) * 4, a_page)) *
+               static_cast<double>(mem.read_scalar<float>(
+                   job.pa_b + (kk * job.ldb + j) * 4, b_page));
       }
       const sim::PhysAddr c_addr = job.pa_c + (i * job.ldc + j) * 4;
       double out = static_cast<double>(job.alpha) * acc;
       if (job.beta != 0.0f) {
         out += static_cast<double>(job.beta) *
-               static_cast<double>(mem.read_scalar<float>(c_addr));
+               static_cast<double>(mem.read_scalar<float>(c_addr, c_page));
       }
-      mem.write_scalar<float>(c_addr, static_cast<float>(out));
+      mem.write_scalar<float>(c_addr, static_cast<float>(out), c_page);
     }
   }
 

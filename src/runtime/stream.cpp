@@ -268,6 +268,7 @@ support::Status CimStream::run_on_host(const cim::ContextRegs& image) {
 
   auto& cpu = system_.cpu();
   auto& mem = system_.memory();
+  sim::PageMemo a_page, b_page, c_page;
   TDO_LOG(kDebug, "cim.stream") << "CPU fallback GEMM " << m << "x" << n << "x"
                                 << k;
   for (std::uint64_t i = 0; i < m; ++i) {
@@ -276,8 +277,8 @@ support::Status CimStream::run_on_host(const cim::ContextRegs& image) {
       for (std::uint64_t kk = 0; kk < k; ++kk) {
         const sim::PhysAddr a_addr = pa_a + (i * lda + kk) * 4;
         const sim::PhysAddr b_addr = pa_b + (kk * ldb + j) * 4;
-        acc += static_cast<double>(mem.read_scalar<float>(a_addr)) *
-               static_cast<double>(mem.read_scalar<float>(b_addr));
+        acc += static_cast<double>(mem.read_scalar<float>(a_addr, a_page)) *
+               static_cast<double>(mem.read_scalar<float>(b_addr, b_page));
         cpu.load(a_addr);
         cpu.load(b_addr);
         // fmadd + induction + backedge (accumulator register-promoted).
@@ -288,12 +289,12 @@ support::Status CimStream::run_on_host(const cim::ContextRegs& image) {
       if (beta != 0.0f) {
         cpu.load(c_addr);
         out += static_cast<double>(beta) *
-               static_cast<double>(mem.read_scalar<float>(c_addr));
+               static_cast<double>(mem.read_scalar<float>(c_addr, c_page));
         cpu.issue(sim::InstBundle{.fp_ops = 2});
       } else {
         cpu.issue(sim::InstBundle{.fp_ops = 1});
       }
-      mem.write_scalar<float>(c_addr, static_cast<float>(out));
+      mem.write_scalar<float>(c_addr, static_cast<float>(out), c_page);
       cpu.store(c_addr);
     }
   }

@@ -10,19 +10,14 @@ Cache::Cache(CacheParams params) : params_{std::move(params)} {
   assert(params_.size_bytes % (static_cast<std::uint64_t>(params_.line_bytes) *
                                params_.ways) ==
          0);
-  num_sets_ = static_cast<std::uint32_t>(
+  const auto sets = static_cast<std::uint32_t>(
       params_.size_bytes / (static_cast<std::uint64_t>(params_.line_bytes) *
                             params_.ways));
-  assert(std::has_single_bit(num_sets_));
-  lines_.resize(static_cast<std::size_t>(num_sets_) * params_.ways);
-}
-
-std::uint64_t Cache::set_index(PhysAddr addr) const {
-  return (addr / params_.line_bytes) & (num_sets_ - 1);
-}
-
-std::uint64_t Cache::tag_of(PhysAddr addr) const {
-  return (addr / params_.line_bytes) / num_sets_;
+  assert(std::has_single_bit(sets));
+  set_mask_ = sets - 1;
+  line_shift_ = static_cast<std::uint8_t>(std::countr_zero(params_.line_bytes));
+  tag_shift_ = static_cast<std::uint8_t>(line_shift_ + std::countr_zero(sets));
+  lines_.resize(static_cast<std::size_t>(sets) * params_.ways);
 }
 
 CacheOutcome Cache::access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
@@ -34,37 +29,44 @@ CacheOutcome Cache::access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
   Line* victim = begin;
   for (std::uint32_t w = 0; w < params_.ways; ++w) {
     Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
+    const bool line_valid = valid(line);
+    if (line_valid && line.tag == tag) {
       line.lru_stamp = ++stamp_;
-      line.dirty = line.dirty || is_write;
+      if (is_write && !line.dirty) {
+        line.dirty = true;
+        ++dirty_lines_;
+      }
       hits_.add();
       return CacheOutcome::kHit;
     }
-    if (!line.valid) {
+    if (!line_valid) {
       victim = &line;  // prefer an invalid way
-    } else if (victim->valid && line.lru_stamp < victim->lru_stamp) {
+    } else if (valid(*victim) && line.lru_stamp < victim->lru_stamp) {
       victim = &line;
     }
   }
 
   misses_.add();
-  if (victim->valid && victim->dirty) {
+  if (valid(*victim) && victim->dirty) {
     writebacks_.add();
+    --dirty_lines_;
     if (evicted_dirty != nullptr) *evicted_dirty = true;
   }
-  victim->valid = true;
+  victim->epoch = epoch_;
   victim->dirty = is_write;
+  if (is_write) ++dirty_lines_;
   victim->tag = tag;
   victim->lru_stamp = ++stamp_;
   return CacheOutcome::kMiss;
 }
 
 std::uint64_t Cache::flush_all() {
-  std::uint64_t dirty = 0;
-  for (Line& line : lines_) {
-    if (line.valid && line.dirty) ++dirty;
-    line.valid = false;
-    line.dirty = false;
+  const std::uint64_t dirty = dirty_lines_;
+  dirty_lines_ = 0;
+  if (++epoch_ == 0) {
+    // Epoch wrap: clear every line's stale epoch so none can match again.
+    for (Line& line : lines_) line.epoch = 0;
+    epoch_ = 1;
   }
   flushes_.add();
   writebacks_.add(dirty);
@@ -73,22 +75,22 @@ std::uint64_t Cache::flush_all() {
 
 std::uint64_t Cache::flush_range(PhysAddr addr, std::uint64_t bytes) {
   std::uint64_t dirty = 0;
-  const PhysAddr first_line = addr / params_.line_bytes;
-  const PhysAddr last_line = (addr + bytes + params_.line_bytes - 1) / params_.line_bytes;
+  const PhysAddr first_line = addr >> line_shift_;
+  const PhysAddr last_line = (addr + bytes + params_.line_bytes - 1) >> line_shift_;
   for (PhysAddr lineno = first_line; lineno < last_line; ++lineno) {
-    const PhysAddr line_addr = lineno * params_.line_bytes;
+    const PhysAddr line_addr = lineno << line_shift_;
     const std::uint64_t set = set_index(line_addr);
     const std::uint64_t tag = tag_of(line_addr);
     Line* begin = &lines_[set * params_.ways];
     for (std::uint32_t w = 0; w < params_.ways; ++w) {
       Line& line = begin[w];
-      if (line.valid && line.tag == tag) {
+      if (valid(line) && line.tag == tag) {
         if (line.dirty) ++dirty;
-        line.valid = false;
-        line.dirty = false;
+        line.epoch = 0;
       }
     }
   }
+  dirty_lines_ -= dirty;
   flushes_.add();
   writebacks_.add(dirty);
   return dirty;

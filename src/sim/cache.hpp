@@ -50,19 +50,35 @@ class Cache {
   void register_stats(support::StatsRegistry& registry) const;
 
  private:
+  // A line is valid while its epoch equals the cache's epoch_, so flush_all
+  // invalidates every line by bumping epoch_ instead of walking the array
+  // (the driver cleans both data levels on every job submit, and the L2
+  // alone holds 32k lines). `dirty` means something only on a valid line.
   struct Line {
     std::uint64_t tag = 0;
-    bool valid = false;
+    std::uint32_t epoch = 0;  // never equal to a live epoch_
     bool dirty = false;
     std::uint64_t lru_stamp = 0;
   };
 
-  [[nodiscard]] std::uint64_t set_index(PhysAddr addr) const;
-  [[nodiscard]] std::uint64_t tag_of(PhysAddr addr) const;
+  [[nodiscard]] bool valid(const Line& line) const { return line.epoch == epoch_; }
+
+  // Line size and set count are powers of two (asserted at construction):
+  // set and tag are a shift and a mask, with no division on the access path.
+  [[nodiscard]] std::uint64_t set_index(PhysAddr addr) const {
+    return (addr >> line_shift_) & set_mask_;
+  }
+  [[nodiscard]] std::uint64_t tag_of(PhysAddr addr) const {
+    return addr >> tag_shift_;
+  }
 
   CacheParams params_;
-  std::uint32_t num_sets_;
-  std::vector<Line> lines_;  // num_sets_ * ways, row-major by set
+  std::uint32_t set_mask_ = 0;  // sets - 1
+  std::uint32_t epoch_ = 1;
+  std::uint8_t line_shift_ = 0;  // log2(line_bytes)
+  std::uint8_t tag_shift_ = 0;   // log2(line_bytes * sets)
+  std::uint32_t dirty_lines_ = 0;  // valid dirty lines, what flush_all cleans
+  std::vector<Line> lines_;  // sets * ways, row-major by set
   std::uint64_t stamp_ = 0;
 
   support::Counter hits_;

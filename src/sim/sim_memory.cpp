@@ -15,10 +15,10 @@ SimMemory::Page& SimMemory::page_for(PhysAddr addr) {
   return *slot;
 }
 
-const SimMemory::Page* SimMemory::page_for_read(PhysAddr addr) const {
+std::uint8_t* SimMemory::resident_page(PhysAddr addr) const {
   assert(addr < size_bytes_ && "physical address out of range");
   const auto it = pages_.find(page_of(addr));
-  return it == pages_.end() ? nullptr : it->second.get();
+  return it == pages_.end() ? nullptr : it->second->data();
 }
 
 void SimMemory::read(PhysAddr addr, std::span<std::uint8_t> out) const {
@@ -27,8 +27,8 @@ void SimMemory::read(PhysAddr addr, std::span<std::uint8_t> out) const {
     const PhysAddr current = addr + done;
     const std::size_t in_page =
         std::min<std::size_t>(out.size() - done, kPageSize - page_offset(current));
-    if (const Page* page = page_for_read(current)) {
-      std::memcpy(out.data() + done, page->data() + page_offset(current), in_page);
+    if (const std::uint8_t* page = resident_page(current)) {
+      std::memcpy(out.data() + done, page + page_offset(current), in_page);
     } else {
       std::memset(out.data() + done, 0, in_page);
     }

@@ -66,10 +66,15 @@ class LatencyHistogram {
 
 /// Monotonically increasing event count (instructions, cache misses, writes).
 ///
-/// add() is a relaxed atomic increment, so completion observers and stats
-/// snapshots running on different threads never tear or drop counts. For
-/// counters on genuinely contended hot paths prefer ShardedCounter
-/// (support/threading.hpp), which avoids the shared cache line entirely.
+/// Single-writer contract: only one thread ever calls add()/reset() on a
+/// given Counter (the simulation driver thread, DESIGN.md section 11). add()
+/// is therefore a relaxed load plus a relaxed store, not a lock-prefixed
+/// read-modify-write: the host model retires several counts per simulated
+/// load, and the RMW alone cost more than the rest of the access path. The
+/// value stays atomic, so a stats snapshot or metrics sampler on another
+/// thread reads it without tearing. A counter that a second thread can bump
+/// (submitter threads, rings) must be a ShardedCounter
+/// (support/threading.hpp) instead; two writers here would lose counts.
 class Counter {
  public:
   Counter() = default;
@@ -81,7 +86,10 @@ class Counter {
     return *this;
   }
 
-  void add(std::uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
   void reset() { value_.store(0, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);

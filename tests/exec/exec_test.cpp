@@ -115,6 +115,54 @@ kernel k(N = 4) {
   EXPECT_FALSE(interp.set_array("A", std::vector<float>(5)).is_ok());
 }
 
+// Out-of-bounds subscripts: each access site checks its flattened offset
+// against the array, so a stray subscript fails the run with kOutOfRange
+// naming the array instead of touching a neighbouring array (read past the
+// end), an unmapped page, or aborting on an unchecked translation.
+void expect_out_of_range_on_a(const std::string& source) {
+  sim::System system;
+  Interpreter interp{system, nullptr};
+  const Program program = program_from(source);
+  ASSERT_TRUE(interp.prepare(program).is_ok());
+  ASSERT_TRUE(interp.set_array("A", std::vector<float>(8, 1.0f)).is_ok());
+  const auto status = interp.run(program);
+  EXPECT_EQ(status.code(), support::StatusCode::kOutOfRange);
+  EXPECT_NE(status.to_string().find("array A"), std::string::npos)
+      << status.to_string();
+}
+
+TEST(InterpreterTest, LoadPastTheEndFailsInsteadOfReadingANeighbour) {
+  expect_out_of_range_on_a(R"(
+kernel k(N = 8) {
+  array float A[N];
+  array float B[N];
+  for (i = 0; i < N; i++)
+    B[i] = A[i + 1];
+}
+)");
+}
+
+TEST(InterpreterTest, StoreFarOutOfBoundsFailsWithOutOfRange) {
+  expect_out_of_range_on_a(R"(
+kernel k(N = 8) {
+  array float A[N];
+  for (i = 0; i < N; i++)
+    A[i + 2000] = 1.0;
+}
+)");
+}
+
+TEST(InterpreterTest, LoadFromUnmappedPageFailsWithOutOfRange) {
+  expect_out_of_range_on_a(R"(
+kernel k(N = 8) {
+  array float A[N];
+  array float B[N];
+  for (i = 0; i < N; i++)
+    B[i] = A[i + 5000];
+}
+)");
+}
+
 // --- cost model behaviour ---
 
 [[nodiscard]] std::uint64_t run_and_count_insts(const std::string& source,

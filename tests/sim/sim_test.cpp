@@ -2,6 +2,8 @@
 // caches, bus and host CPU cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "sim/bus.hpp"
@@ -11,6 +13,7 @@
 #include "sim/mmu.hpp"
 #include "sim/sim_memory.hpp"
 #include "sim/system.hpp"
+#include "support/rng.hpp"
 
 namespace tdo::sim {
 namespace {
@@ -78,6 +81,28 @@ TEST(SimMemoryTest, ScalarTypedAccess) {
   EXPECT_EQ(memory.read_scalar<float>(64), 3.25f);
   memory.write_scalar<std::uint64_t>(128, 0xdeadbeefcafeull);
   EXPECT_EQ(memory.read_scalar<std::uint64_t>(128), 0xdeadbeefcafeull);
+}
+
+TEST(SimMemoryTest, PageMemoNeverCachesAnAbsentPage) {
+  SimMemory memory{1 << 20};
+  PageMemo memo;
+  EXPECT_EQ(memory.read_scalar<float>(0x2000, memo), 0.0f);
+  EXPECT_EQ(memory.resident_pages(), 0u);  // a memoized read allocates nothing
+  // Another access path materializes the page; the memo sees the write.
+  memory.write_scalar<float>(0x2004, 1.5f);
+  EXPECT_EQ(memory.read_scalar<float>(0x2004, memo), 1.5f);
+  // Writes through the memo land in the same page storage.
+  memory.write_scalar<float>(0x2008, 2.5f, memo);
+  EXPECT_EQ(memory.read_scalar<float>(0x2008), 2.5f);
+  // A write through a memo on an absent page materializes it.
+  PageMemo other;
+  memory.write_scalar<float>(0x5000, 4.0f, other);
+  EXPECT_EQ(memory.read_scalar<float>(0x5000, memo), 4.0f);
+  EXPECT_EQ(memory.resident_pages(), 2u);
+  // An access straddling two pages takes the plain path.
+  memory.write_scalar<std::uint64_t>(kPageSize - 4, 0x1122334455667788ull, memo);
+  EXPECT_EQ(memory.read_scalar<std::uint64_t>(kPageSize - 4, other),
+            0x1122334455667788ull);
 }
 
 TEST(MmuTest, AllocateTranslateRelease) {
@@ -172,6 +197,105 @@ TEST(CacheTest, FlushRangeOnlyTouchesRange) {
   (void)cache.access(1024, true, &dirty);
   EXPECT_EQ(cache.flush_range(0, 64), 1u);
   EXPECT_EQ(cache.access(1024, false, &dirty), CacheOutcome::kHit);
+}
+
+// Reference model for Cache: explicit valid/dirty flags per line and a full
+// scan on flush, against which the epoch-based O(1) flush is checked.
+class ReferenceCache {
+ public:
+  ReferenceCache(std::uint64_t sets, std::uint32_t ways, std::uint32_t line)
+      : sets_{sets}, ways_{ways}, line_{line}, lines_(sets * ways) {}
+
+  CacheOutcome access(PhysAddr addr, bool is_write, bool* evicted_dirty) {
+    *evicted_dirty = false;
+    const std::uint64_t lineno = addr / line_;
+    Line* set = &lines_[(lineno % sets_) * ways_];
+    Line* victim = set;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      Line& l = set[w];
+      if (l.valid && l.tag == lineno / sets_) {
+        l.stamp = ++stamp_;
+        l.dirty = l.dirty || is_write;
+        return CacheOutcome::kHit;
+      }
+      if (!l.valid) {
+        victim = &l;
+      } else if (victim->valid && l.stamp < victim->stamp) {
+        victim = &l;
+      }
+    }
+    *evicted_dirty = victim->valid && victim->dirty;
+    *victim = Line{lineno / sets_, true, is_write, ++stamp_};
+    return CacheOutcome::kMiss;
+  }
+
+  std::uint64_t flush_all() {
+    std::uint64_t dirty = 0;
+    for (Line& l : lines_) {
+      dirty += l.valid && l.dirty ? 1 : 0;
+      l.valid = l.dirty = false;
+    }
+    return dirty;
+  }
+
+  std::uint64_t flush_range(PhysAddr addr, std::uint64_t bytes) {
+    std::uint64_t dirty = 0;
+    for (std::uint64_t n = addr / line_; n < (addr + bytes + line_ - 1) / line_;
+         ++n) {
+      Line* set = &lines_[(n % sets_) * ways_];
+      for (std::uint32_t w = 0; w < ways_; ++w) {
+        if (set[w].valid && set[w].tag == n / sets_) {
+          dirty += set[w].dirty ? 1 : 0;
+          set[w].valid = set[w].dirty = false;
+        }
+      }
+    }
+    return dirty;
+  }
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t stamp = 0;
+  };
+  std::uint64_t sets_;
+  std::uint32_t ways_;
+  std::uint32_t line_;
+  std::vector<Line> lines_;
+  std::uint64_t stamp_ = 0;
+};
+
+TEST(CacheTest, MatchesReferenceAcrossFlushes) {
+  // Random reads, writes, range flushes and full flushes over a footprint a
+  // few times the cache: every outcome, dirty eviction and flushed-dirty
+  // count must match the scanning reference exactly.
+  Cache cache{CacheParams{.name = "t", .size_bytes = 2048, .line_bytes = 64, .ways = 4}};
+  ReferenceCache reference{8, 4, 64};
+  support::Rng rng{42};
+  for (int op = 0; op < 20000; ++op) {
+    const auto addr = static_cast<PhysAddr>(rng.uniform_int(0, 8191));
+    const std::int64_t kind = rng.uniform_int(0, 99);
+    if (kind < 2) {
+      ASSERT_EQ(cache.flush_all(), reference.flush_all()) << "op " << op;
+    } else if (kind < 5) {
+      const auto bytes = static_cast<std::uint64_t>(rng.uniform_int(1, 512));
+      ASSERT_EQ(cache.flush_range(addr, bytes),
+                reference.flush_range(addr, bytes))
+          << "op " << op;
+    } else {
+      const bool is_write = kind < 40;
+      bool got_dirty = false;
+      bool want_dirty = false;
+      ASSERT_EQ(cache.access(addr, is_write, &got_dirty),
+                reference.access(addr, is_write, &want_dirty))
+          << "op " << op;
+      ASSERT_EQ(got_dirty, want_dirty) << "op " << op;
+    }
+  }
+  EXPECT_EQ(cache.flush_all(), reference.flush_all());
+  EXPECT_EQ(cache.flush_all(), 0u);  // nothing is dirty right after a flush
 }
 
 TEST(HostCpuTest, ChargesInstructionEnergy) {
