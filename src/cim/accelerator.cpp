@@ -119,7 +119,7 @@ support::Status Accelerator::enqueue_job(const ContextRegs& image) {
     // A job that became the queue front will prefetch its weight DMA during
     // the running job's stream tail: book that window on the channel
     // timeline now, so a later copy cannot first-fit into the same slot.
-    if (queue_.size() == 1) reserve_queue_prefetch();
+    if (queue_.size() == 1) reserve_front_prefetch();
     // The new job also extends the queue's estimated body-DMA chain:
     // re-derive the advisory windows so copies account for it.
     dma_->drop_advisory();
@@ -256,8 +256,8 @@ void Accelerator::credit_copy_overlap(sim::Tick win_start, sim::Tick win_end) {
   }
 }
 
-void Accelerator::reserve_queue_prefetch() {
-  if (!params_.queue_prefetch || queue_.empty()) return;
+void Accelerator::reserve_front_prefetch() {
+  if (queue_.empty()) return;
   if (busy_until_ <= last_timeline_.weights_programmed) return;
   const QueuedJob& front = queue_.front();
   // Mirror the credit the chain launch will grant: the prefetch runs in the
@@ -327,15 +327,13 @@ void Accelerator::start_job(support::Duration prefetch_credit) {
   // stream tail — reserve that window so copies can't double-book it. (The
   // enqueue path reserves when a job becomes front under an already-running
   // job; this covers fronts inherited across a chain launch.)
-  reserve_queue_prefetch();
+  reserve_front_prefetch();
   // And the still-queued jobs' body DMA re-chains from the fresh busy_until_.
   reserve_queue_body();
 
   // Completion chain: the engine's own done/error event (same tick, earlier
   // sequence) has already updated kStatus/kResult when this runs.
-  const support::Duration stream_phase =
-      params_.queue_prefetch ? last_timeline_.stream_phase()
-                             : support::Duration::zero();
+  const support::Duration stream_phase = last_timeline_.stream_phase();
   system_.events().schedule_at(busy_until_, params_.name + ".advance",
                                [this, stream_phase,
                                 timeline = last_timeline_,

@@ -47,9 +47,6 @@ struct AcceleratorParams {
   /// Capacity of the hardware job FIFO behind the running job. The stream
   /// layer keeps at most `work_queue_depth + 1` commands in flight here.
   std::size_t work_queue_depth = 8;
-  /// Overlap a chained job's weight-load DMA with the running job's stream
-  /// phase (requires the job's double-buffering flag).
-  bool queue_prefetch = true;
   /// Queue-aware channel reservation: book an advisory busy window for each
   /// queued job's estimated stream-body DMA at enqueue time, so stream
   /// copies submitted while jobs wait cannot first-fit into channel time
@@ -209,7 +206,7 @@ class Accelerator final : public sim::BusDevice {
   /// Reserves the queue front's estimated weight-load prefetch window — the
   /// tail of the running job's stream phase on the engine's DMA channel — so
   /// stream copies cannot first-fit into a slot the prefetch will occupy.
-  void reserve_queue_prefetch();
+  void reserve_front_prefetch();
   /// Re-derives the advisory body-DMA windows of every queued job, chained
   /// from the running job's completion (queue_body_reserve). Callers drop
   /// stale advisory windows first — this only inserts.

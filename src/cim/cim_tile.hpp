@@ -42,9 +42,6 @@ class CimTile {
 
   [[nodiscard]] std::uint32_t rows() const { return crossbar_.rows(); }
   [[nodiscard]] std::uint32_t cols() const { return crossbar_.cols(); }
-  [[nodiscard]] std::uint64_t capacity_bytes() const {
-    return crossbar_.capacity_weights();  // one byte per 8-bit weight
-  }
 
   /// Programs one crossbar row from already-quantized weights via the column
   /// buffers. Returns number of 8-bit weights written.
@@ -68,10 +65,6 @@ class CimTile {
   /// result = alpha * (acc * scale) + beta * previous. Charged as ALU ops.
   [[nodiscard]] float postprocess(std::int32_t acc, double scale, float alpha,
                                   float beta, float previous);
-
-  /// Count extra digital-ALU work done on behalf of the micro-engine.
-  void charge_alu_ops(std::uint64_t n) { stats_.extra_alu_ops += n; }
-  void charge_buffer_bytes(std::uint64_t n) { stats_.buffer_byte_accesses += n; }
 
   [[nodiscard]] const TileStats& stats() const { return stats_; }
   [[nodiscard]] const pcm::Crossbar& crossbar() const { return crossbar_; }

@@ -66,7 +66,7 @@ enum class Opcode : std::uint64_t {
   kGemmBatched = 3,  // batch of GEMMs sharing the stationary operand if equal
   kCopy = 4,         // rectangle DMA copy on the DMA channel (never the engine)
   kProgram = 5,      // program the stationary tile only, no stream phase (the
-                     // runtime's prefetch-on-miss and migration-adoption path)
+                     // runtime's migration-adoption path)
 };
 
 /// Which operand is held stationary in the crossbar (Section III-B).

@@ -141,7 +141,6 @@ class Dma {
   [[nodiscard]] std::uint64_t bytes_read() const { return bytes_read_.value(); }
   [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_.value(); }
   [[nodiscard]] std::uint64_t bursts() const { return bursts_.value(); }
-  [[nodiscard]] std::uint64_t prefetched_bytes() const { return prefetch_bytes_.value(); }
   [[nodiscard]] std::uint64_t overlapped_copy_bytes() const {
     return overlap_copy_bytes_.value();
   }

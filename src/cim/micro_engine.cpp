@@ -390,10 +390,8 @@ JobTimeline MicroEngine::launch(ContextRegs& regs,
     }
     case Opcode::kProgram: {
       // Program-only job: loads the stationary tile into its crossbar row
-      // window and completes without a stream phase. Carries the runtime's
-      // prefetch-on-miss programming (hidden under the previous job's stream
-      // phase via the normal chained-prefetch credit) and the adoption step
-      // of peer-to-peer residency migration.
+      // window and completes without a stream phase. Carries the adoption
+      // step of peer-to-peer residency migration.
       auto job = decode(regs);
       if (!job.is_ok()) return fail(job.status());
       if (const auto fits = check_fits(*job); !fits.is_ok()) return fail(fits);

@@ -159,11 +159,6 @@ class MicroEngine {
     const auto it = programmed_.find(row0);
     return it == programmed_.end() ? nullptr : &it->second;
   }
-  [[nodiscard]] std::size_t programmed_tile_count() const {
-    return programmed_.size();
-  }
-  /// Invalidate all reuse tracking (device reset).
-  void invalidate_tile() { programmed_.clear(); }
   /// Invalidate reuse tracking for tiles overlapping rows [row0, row0+rows)
   /// (a job is about to reprogram that window).
   void invalidate_rows(std::uint32_t row0, std::uint64_t rows);

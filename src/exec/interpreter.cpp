@@ -334,16 +334,22 @@ class Interpreter::NestExecutor {
 
  private:
   /// Physical address of the element `site` addresses under the current
-  /// induction variables. False, with fault_ set, when the flattened offset
-  /// leaves the array: such an access would read or clobber a neighbouring
-  /// allocation or an unmapped page.
+  /// induction variables. False, with fault_ set, when a subscript leaves
+  /// its dimension: such an access would read or clobber a neighbouring row,
+  /// a neighbouring allocation or an unmapped page.
   bool locate(PreparedAccess& site, sim::PhysAddr* pa) {
+    for (const PreparedDim& d : site.inner) {
+      const std::int64_t sub = d.sub.eval(env_);
+      if (static_cast<std::uint64_t>(sub) >= d.extent) {
+        return subscript_fault(site, d.dim, sub);
+      }
+    }
     const std::int64_t off = site.offset.eval(env_);
     if (static_cast<std::uint64_t>(off) >= site.elements) {
-      fault_ = support::out_of_range(
-          "subscript of array " + site.array->decl.name + " reaches element " +
-          std::to_string(off) + " of " + std::to_string(site.elements));
-      return false;
+      // Every other subscript is in range, so the leading one is not.
+      const std::int64_t rem = off % site.lead_stride;
+      return subscript_fault(
+          site, 0, off / site.lead_stride - (rem < 0 ? 1 : 0));
     }
     const sim::VirtAddr va =
         site.array->host_va + static_cast<std::uint64_t>(off) * 4;
@@ -358,6 +364,15 @@ class Interpreter::NestExecutor {
     }
     *pa = site.frame + sim::page_offset(va);
     return true;
+  }
+
+  bool subscript_fault(const PreparedAccess& site, int dim, std::int64_t sub) {
+    const ir::ArrayDecl& decl = site.array->decl;
+    fault_ = support::out_of_range(
+        "subscript " + std::to_string(sub) + " of array " + decl.name +
+        " dimension " + std::to_string(dim) + " is outside [0, " +
+        std::to_string(decl.dims[static_cast<std::size_t>(dim)]) + ")");
+    return false;
   }
 
   double eval(PreparedExpr& e) {
@@ -425,6 +440,14 @@ Status Interpreter::exec_nest(const std::vector<ir::Node>& body) {
     std::int64_t stride = 1;
     for (std::size_t d = info->decl.dims.size(); d-- > 0;) {
       flat += subs[d] * stride;
+      if (d > 0) {
+        PreparedDim& dim = out->inner.emplace_back();
+        TDO_RETURN_IF_ERROR(prep_affine(subs[d], &dim.sub));
+        dim.extent = static_cast<std::uint64_t>(info->decl.dims[d]);
+        dim.dim = static_cast<int>(d);
+      } else {
+        out->lead_stride = stride;
+      }
       stride *= info->decl.dims[d];
     }
     return prep_affine(flat, &out->offset);

@@ -80,6 +80,12 @@ class Interpreter {
     bool has_min = false;
     PreparedAffine min_with;
   };
+  /// Subscript of one non-leading dimension of an access, with its extent.
+  struct PreparedDim {
+    PreparedAffine sub;
+    std::uint64_t extent = 0;
+    int dim = 0;
+  };
   /// One load or store site of a host nest. Besides the flattened element
   /// offset it memoizes the virtual page it touched last and that page's
   /// frame, plus the frame's bytes once materialized, so consecutive
@@ -88,6 +94,11 @@ class Interpreter {
     const ArrayInfo* array = nullptr;
     std::uint64_t elements = 0;  // bounds of the flattened offset
     PreparedAffine offset;
+    /// Non-leading subscripts, each checked against its own extent. The
+    /// leading one needs no check of its own: with the others in range, the
+    /// flattened bound confines it.
+    std::vector<PreparedDim> inner;
+    std::int64_t lead_stride = 1;  // elements per step of the leading subscript
     std::uint64_t vpage = ~std::uint64_t{0};  // no VA has this page number
     sim::PhysAddr frame = 0;
     sim::PageMemo memo;

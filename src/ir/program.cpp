@@ -65,7 +65,11 @@ void renumber(std::vector<Node>& body, int& counter) {
     if (node.is_loop()) {
       renumber(node.loop().body, counter);
     } else {
-      node.stmt().name = "S" + std::to_string(counter++);
+      // Not `"S" + std::to_string(...)`: gcc 12 at -O3 raises a false
+      // -Wrestrict on the inlined string operator+.
+      std::string name = std::to_string(counter++);
+      name.insert(name.begin(), 'S');
+      node.stmt().name = std::move(name);
     }
   }
 }

@@ -97,16 +97,14 @@ void SloMonitor::note_breach(std::uint64_t tick, const std::string& cls,
 
 void SloMonitor::on_sample(std::uint64_t tick,
                            const support::StatsSnapshot& snapshot) {
-  const std::string& prefix = params_.counter_prefix;
   for (Tracked& tracked : tracked_) {
-    const std::string latency_key =
-        prefix + ".latency." + tracked.spec.cls;
+    const std::string latency_key = "serve.latency." + tracked.spec.cls;
     Point point;
     point.tick = tick;
     point.lat_count = snapshot.counter_or(latency_key + ".count");
     point.lat_sum_ps = snapshot.counter_or(latency_key + ".sum_ps");
-    point.shed = snapshot.counter_or(prefix + ".shed." + tracked.spec.cls);
-    point.requests = snapshot.counter_or(prefix + ".requests");
+    point.shed = snapshot.counter_or("serve.shed." + tracked.spec.cls);
+    point.requests = snapshot.counter_or("serve.requests");
     tracked.series.push_back(point);
     // Keep exactly one baseline candidate older than the slow window.
     const std::uint64_t horizon =

@@ -48,8 +48,6 @@ struct SloParams {
   std::uint64_t slow_window_ticks = 0;
   /// Both windows' burn rates must reach this to breach (1.0 = on target).
   double burn_threshold = 1.0;
-  /// Counter namespace of the scheduler under observation.
-  std::string counter_prefix = "serve";
 };
 
 struct SloBreach {

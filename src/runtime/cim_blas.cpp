@@ -333,10 +333,6 @@ support::Status CimRuntime::locate(Operand& op) const {
 }
 
 support::Status CimRuntime::scan(Operand& op) {
-  if (config_.scale_mode == ScaleMode::kStatic) {
-    op.scale = support::QuantScale::for_max_abs(config_.static_max_abs).scale;
-    return support::Status::ok();
-  }
   // Per-buffer granularity: when the operand is a sub-view of one device
   // buffer, scan (and cache) the whole buffer once. A whole-buffer max-abs
   // is a valid (if slightly coarser) scale for any sub-view, and it is what
@@ -478,33 +474,6 @@ cim::ContextRegs CimRuntime::make_program_image(const WeightKey& key,
                               cim::Opcode::kProgram);
 }
 
-void CimRuntime::prefetch_predicted(const WeightKey& current, int device) {
-  if (!config_.residency.prefetch_on_miss || !residency_->enabled()) return;
-  if (current.rect.empty()) return;
-  const auto next = residency_->predict_next(current);
-  if (!next || next->rect.empty() || next->rows == 0 || next->cols == 0) return;
-  if (residency_->peek(*next)) return;  // resident: nothing to hide
-  // Never force a drain for a speculation: skip when the predicted operand
-  // is still being produced by an in-flight command.
-  if (stream_->writes_overlap(next->rect)) return;
-  std::uint32_t row0 = 0;
-  if (!residency_->prefill(*next, device, &row0)) return;
-  const auto image = make_program_image(*next, row0);
-  stream_->note_read(next->rect, device);
-  const std::uint64_t writes =
-      static_cast<std::uint64_t>(next->rows) * next->cols;
-  // Behind the jobs just enqueued on this device, the kProgram's weight DMA
-  // hides under their stream phase (the same queue-prefetch credit chained
-  // jobs use). If the enqueue fails the prefilled entry over-promises; the
-  // device-side validation turns the resulting stale hit into a reprogram.
-  const auto status = enqueue_job(image, /*macs=*/0, writes, device,
-                                  /*allow_cpu_fallback=*/false);
-  if (!status.is_ok()) {
-    TDO_LOG(kWarn, "cim.rt") << "residency prefetch enqueue failed: "
-                             << status.message();
-  }
-}
-
 support::Status CimRuntime::migrate_residency(const WeightKey& key,
                                               int to_device,
                                               bool peer_to_peer) {
@@ -636,7 +605,7 @@ support::Status CimRuntime::sgemm(std::uint64_t m, std::uint64_t n,
                                   std::uint64_t ldb, float beta, sim::VirtAddr c,
                                   std::uint64_t ldc) {
   return sgemm_with_stationary(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                               config_.default_stationary);
+                               cim::StationaryOperand::kB);
 }
 
 support::Status CimRuntime::sgemm_with_stationary(
@@ -782,7 +751,6 @@ support::Status CimRuntime::run_plan(const TilePlan& plan, bool use_cache) {
                                       tile.skip ? 0 : key.rows * js, device,
                                       /*allow_cpu_fallback=*/kk == 0));
     }
-    if (use_cache) prefetch_predicted(stripe.back(), device);
   }
   return support::Status::ok();
 }
@@ -1068,7 +1036,6 @@ support::Status CimRuntime::sgemm_batched_async(
         tile.skip ? 0 : std::uint64_t{key.rows} * key.cols, device,
         /*allow_cpu_fallback=*/false));
   }
-  if (use_cache) prefetch_predicted(key, chunk_devices[0]);
   return support::Status::ok();
 }
 

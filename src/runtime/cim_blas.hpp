@@ -31,14 +31,6 @@
 
 namespace tdo::rt {
 
-/// How quantization scales are obtained before offloading.
-enum class ScaleMode {
-  /// Host scans the operands for max|x| (charged to the host cost model).
-  kHostScan,
-  /// Assume a static data range (free, but may clip).
-  kStatic,
-};
-
 /// DTO-style pseudo-asynchronous work splitting (DTO_CPU_SIZE_FRACTION):
 /// a large GEMM is cut into a host stripe (run on the worker pool) and a
 /// device stripe, executed concurrently and joined at the next sync point.
@@ -58,11 +50,6 @@ struct SplitConfig {
 
 struct RuntimeConfig {
   bool double_buffering = true;
-  ScaleMode scale_mode = ScaleMode::kHostScan;
-  double static_max_abs = 1.0;
-  /// Default stationary operand for plain GEMM calls. The paper's naive
-  /// mapping keeps B stationary and streams A (Section III-B).
-  cim::StationaryOperand default_stationary = cim::StationaryOperand::kB;
   DriverParams driver;
   /// Command-stream behaviour (depth, dynamic CPU-fallback threshold). The
   /// blocking BLAS entry points are wrappers over this stream.
@@ -135,7 +122,8 @@ class CimRuntime {
                                  std::uint64_t rows);
 
   /// polly_cimBlasSGemm: C = alpha*A*B + beta*C (row-major, no transposes).
-  /// Oversized operands are tiled internally to the crossbar geometry.
+  /// Oversized operands are tiled internally to the crossbar geometry. B is
+  /// stationary and A streams, the paper's naive mapping (Section III-B).
   /// Blocking: a thin wrapper over the async variant plus synchronize().
   support::Status sgemm(std::uint64_t m, std::uint64_t n, std::uint64_t k,
                         float alpha, sim::VirtAddr a, std::uint64_t lda,
@@ -343,7 +331,7 @@ class CimRuntime {
 
   /// Runs every stripe of `plan`: affinity pick, output write tracking, then
   /// per tile placement, shadow substitution for migrated tiles, job image
-  /// and enqueue; finally the predicted successor's prefetch.
+  /// and enqueue.
   support::Status run_plan(const TilePlan& plan, bool use_cache);
 
   /// Builds the shared register image for a (tile) job; `scale_a` and
@@ -386,12 +374,6 @@ class CimRuntime {
   /// with dimensions decode() accepts.
   [[nodiscard]] cim::ContextRegs make_program_image(const WeightKey& key,
                                                     std::uint32_t row0) const;
-
-  /// Prefetch-on-miss: when the predictor knows which weight set follows
-  /// `current`, speculatively programs it (Opcode::kProgram) behind the jobs
-  /// just enqueued on `device` — its weight-load DMA hides under the current
-  /// job's stream phase, so the successor call's weight phase disappears.
-  void prefetch_predicted(const WeightKey& current, int device);
 
   /// Affinity routing for one stripe's chain of stationary tiles: the
   /// accelerator already holding any of them (so the reuse request can

@@ -32,7 +32,6 @@ class CmaAllocator {
 
   [[nodiscard]] std::uint64_t bytes_free() const;
   [[nodiscard]] std::uint64_t bytes_allocated() const;
-  [[nodiscard]] std::size_t allocation_count() const { return allocated_.size(); }
   [[nodiscard]] const sim::CmaRegion& region() const { return region_; }
 
  private:

@@ -131,8 +131,8 @@ support::Status CimDriver::submit_queued(const cim::ContextRegs& image,
   if (op == cim::Opcode::kProgram) {
     // A program-only job reads nothing but its stationary tile, so the
     // coherence clean is range-granular like submit_copy's — a full-cache
-    // clean here would put ~L1+L2 walk time on every speculative prefetch
-    // and migration adoption, dwarfing the work it hides.
+    // clean here would put ~L1+L2 walk time on every migration adoption,
+    // dwarfing the work it hides.
     const cim::StationaryTile tile = cim::GemmJob::read(image).stationary_tile();
     const std::uint64_t bytes = tile.rows * tile.cols * 4;
     flushes_.add();
@@ -182,13 +182,6 @@ support::Status CimDriver::submit_copy(const cim::ContextRegs& image,
   // its submission time.
   system_.settle_to_host_time();
   return accels_[device]->enqueue_job(image);
-}
-
-support::StatusOr<std::uint64_t> CimDriver::poll_completed(std::size_t device) {
-  system_.settle_to_host_time();
-  auto completed = read_reg(cim::Reg::kCompleted, device);
-  if (!completed.is_ok()) return completed.status();
-  return *completed;
 }
 
 void CimDriver::wait_for_space(std::size_t device,

@@ -88,7 +88,6 @@ class HostWorkerPool {
 
   /// Jobs whose completion event has fired.
   [[nodiscard]] std::uint64_t jobs_completed() const { return completed_.value(); }
-  [[nodiscard]] std::uint64_t jobs_submitted() const { return jobs_.value(); }
   [[nodiscard]] std::uint64_t in_flight() const {
     return jobs_.value() - completed_.value();
   }

@@ -17,8 +17,6 @@ ResidencyCache::ResidencyCache(ResidencyParams params, CimDriver& driver,
   stats.register_counter(p + ".evictions", &evictions_);
   stats.register_counter(p + ".invalidations", &invalidations_);
   stats.register_counter(p + ".weight_writes_saved8", &weight_writes_saved8_);
-  stats.register_counter(p + ".prefetches", &prefetches_);
-  stats.register_counter(p + ".prefetch_hits", &prefetch_hits_);
   stats.register_counter(p + ".migrations", &migrations_);
 }
 
@@ -96,12 +94,6 @@ ResidencyCache::Acquire ResidencyCache::acquire(const WeightKey& key,
                                                 int device) {
   support::SpinGuard guard{lock_};
   ++clock_;
-  if (params_.prefetch_on_miss) {
-    if (last_acquired_ && !(*last_acquired_ == key)) {
-      note_successor(*last_acquired_, key);
-    }
-    last_acquired_ = key;
-  }
   for (Entry& entry : entries_) {
     if (entry.device == device && entry.key == key) {
       entry.lru = clock_;
@@ -110,10 +102,6 @@ ResidencyCache::Acquire ResidencyCache::acquire(const WeightKey& key,
         obs::Tracer::instance().instant(
             "residency", "hit", obs::Tracer::instance().last_tick(),
             {{"dev", static_cast<std::uint64_t>(device)}, {"row", entry.row0}});
-      }
-      if (entry.prefetched) {
-        prefetch_hits_.add();
-        entry.prefetched = false;
       }
       weight_writes_saved8_.add(static_cast<std::uint64_t>(key.rows) * key.cols);
       Acquire out{/*hit=*/true, /*cached=*/true, entry.row0};
@@ -147,52 +135,6 @@ ResidencyCache::Acquire ResidencyCache::acquire(const WeightKey& key,
         {{"dev", static_cast<std::uint64_t>(device)}, {"row", row0}});
   }
   return Acquire{/*hit=*/false, /*cached=*/true, row0};
-}
-
-void ResidencyCache::note_successor(const WeightKey& prev,
-                                    const WeightKey& next) {
-  for (Successor& edge : successors_) {
-    if (edge.prev == prev) {
-      edge.next = next;
-      return;
-    }
-  }
-  if (successors_.size() >= kMaxSuccessors) successors_.erase(successors_.begin());
-  successors_.push_back(Successor{prev, next});
-}
-
-std::optional<WeightKey> ResidencyCache::predict_next(
-    const WeightKey& current) const {
-  if (!params_.prefetch_on_miss) return std::nullopt;
-  support::SpinGuard guard{lock_};
-  for (const Successor& edge : successors_) {
-    if (edge.prev == current) return edge.next;
-  }
-  return std::nullopt;
-}
-
-bool ResidencyCache::prefill(const WeightKey& key, int device,
-                             std::uint32_t* row0) {
-  support::SpinGuard guard{lock_};
-  for (const Entry& entry : entries_) {
-    if (entry.key == key) return false;  // already resident somewhere
-  }
-  if (!allocate_rows(device, key.rows, row0)) return false;
-  ++clock_;
-  Entry entry;
-  entry.key = key;
-  entry.device = device;
-  entry.row0 = *row0;
-  entry.lru = clock_;
-  entry.prefetched = true;
-  entries_.push_back(entry);
-  prefetches_.add();
-  if (obs::enabled()) {
-    obs::Tracer::instance().instant(
-        "residency", "prefetch", obs::Tracer::instance().last_tick(),
-        {{"dev", static_cast<std::uint64_t>(device)}, {"row", *row0}});
-  }
-  return true;
 }
 
 bool ResidencyCache::reserve_rows(int device, std::uint32_t rows,
@@ -273,8 +215,6 @@ ResidencyReport ResidencyCache::report() const {
   rep.evictions = evictions_.value();
   rep.invalidations = invalidations_.value();
   rep.weight_writes_saved8 = weight_writes_saved8_.value();
-  rep.prefetches = prefetches_.value();
-  rep.prefetch_hits = prefetch_hits_.value();
   rep.migrations = migrations_.value();
   {
     support::SpinGuard guard{lock_};

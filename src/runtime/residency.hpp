@@ -49,13 +49,6 @@ struct ResidencyParams {
   /// Crossbar rows usable for resident tiles per accelerator; 0 means the
   /// device's full crossbar. Sweeping this models smaller weight caches.
   std::uint32_t capacity_rows = 0;
-  /// Prefetch-on-miss: learn the successor of each stationary tile and let
-  /// the runtime program the predicted-next weight set (Opcode::kProgram)
-  /// while the current job streams — the next call's weight phase then
-  /// disappears into the previous job's stream phase. Off by default: the
-  /// predictor costs an entry slot per speculation and existing workloads
-  /// assert exact hit/miss counts.
-  bool prefetch_on_miss = false;
   /// Stats prefix for the residency.* counters.
   std::string name = "residency";
 };
@@ -89,10 +82,6 @@ struct ResidencyReport {
   /// device reports its own figure; the two agree unless a hit job fell
   /// back or the engine rejected a stale request.
   std::uint64_t weight_writes_saved8 = 0;
-  /// Prefetch speculations issued (prefill) and the subset that paid off:
-  /// a later acquire landing on an entry the predictor programmed ahead.
-  std::uint64_t prefetches = 0;
-  std::uint64_t prefetch_hits = 0;
   /// Entries re-homed accelerator-to-accelerator (peer-to-peer migration).
   std::uint64_t migrations = 0;
   std::uint64_t entries = 0;  ///< currently resident tiles, all devices
@@ -142,19 +131,6 @@ class ResidencyCache {
   /// `device`: retire entries it overwrites.
   void on_programmed(int device, std::uint32_t row0, std::uint64_t rows);
 
-  /// Successor prediction (prefetch_on_miss): the tile acquire() saw follow
-  /// the previously acquired one most recently. Empty when the predictor is
-  /// off or `current` has no recorded successor.
-  [[nodiscard]] std::optional<WeightKey> predict_next(
-      const WeightKey& current) const;
-
-  /// Speculatively fills an entry for a predicted tile: allocates a crossbar
-  /// row window on `device` (evicting LRU entries as needed) and records the
-  /// entry flagged prefetched, without counting a miss. The caller then
-  /// enqueues the Opcode::kProgram job that actually programs the window.
-  /// Returns false when the key is already resident anywhere or cannot fit.
-  bool prefill(const WeightKey& key, int device, std::uint32_t* row0);
-
   /// Allocates a contiguous crossbar row window on `device` without creating
   /// an entry — the migration path reserves the destination window before
   /// programming it. Driver-thread only: nothing else may allocate between
@@ -197,8 +173,6 @@ class ResidencyCache {
     int device = -1;
     std::uint32_t row0 = 0;
     std::uint64_t lru = 0;  ///< last-use stamp (monotone clock)
-    /// Filled by prefill(); the first hit credits prefetch_hits and clears.
-    bool prefetched = false;
     /// Migrated entries: the crossbar tile was programmed from this staging
     /// rectangle (the peer-to-peer copy), not from key.rect. key.rect keeps
     /// the original operand identity — lookups and host-write invalidation
@@ -208,16 +182,6 @@ class ResidencyCache {
     Rect shadow_rect;
     std::uint64_t shadow_ld = 0;
   };
-
-  /// One learned successor edge for the prefetch predictor (bounded FIFO).
-  struct Successor {
-    WeightKey prev;
-    WeightKey next;
-  };
-  static constexpr std::size_t kMaxSuccessors = 64;
-
-  /// Records `prev -> next` in the successor table (lock held).
-  void note_successor(const WeightKey& prev, const WeightKey& next);
 
   [[nodiscard]] std::uint32_t device_capacity_rows(int device) const;
   /// Finds (or frees, by LRU eviction on `device`) a contiguous row window
@@ -234,10 +198,6 @@ class ResidencyCache {
   std::vector<Entry> entries_;
   std::uint64_t clock_ = 0;
   std::atomic<std::uint64_t> epoch_{0};
-  /// Prefetch predictor state: the most recently acquired key and the
-  /// learned successor edges (both only maintained when prefetch_on_miss).
-  std::optional<WeightKey> last_acquired_;
-  std::vector<Successor> successors_;
 
   /// Sharded: lookups and invalidations run from whichever thread drives the
   /// runtime while metrics sampling snapshots concurrently.
@@ -246,8 +206,6 @@ class ResidencyCache {
   support::ShardedCounter evictions_;
   support::ShardedCounter invalidations_;
   support::ShardedCounter weight_writes_saved8_;
-  support::ShardedCounter prefetches_;
-  support::ShardedCounter prefetch_hits_;
   support::ShardedCounter migrations_;
 };
 

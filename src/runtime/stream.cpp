@@ -20,7 +20,6 @@ CimStream::CimStream(StreamParams params, sim::System& system,
   stats.register_counter(p + ".offloaded", &offloaded_);
   stats.register_counter(p + ".cpu_fallbacks", &cpu_fallbacks_);
   stats.register_counter(p + ".fallbacks_threshold", &fallbacks_threshold_);
-  stats.register_counter(p + ".fallbacks_queue_full", &fallbacks_queue_full_);
   stats.register_counter(p + ".syncs", &syncs_);
   stats.register_counter(p + ".hazard_syncs", &hazard_syncs_);
   stats.register_counter(p + ".device_drains", &device_drains_);
@@ -120,19 +119,7 @@ support::Status CimStream::enqueue(const Command& command) {
   const std::size_t depth = std::min(
       params_.depth, accel.params().work_queue_depth + 1);
   system_.settle_to_host_time();
-  if (accel.in_flight() >= depth) {
-    if (params_.fallback_when_full && command.allow_cpu_fallback) {
-      fallbacks_queue_full_.add();
-      cpu_fallbacks_.add();
-      if (obs::enabled()) {
-        obs::Tracer::instance().instant(
-            "stream/" + params_.name, "cpu_fallback_queue_full",
-            system_.events().now(), {{"macs", command.macs}});
-      }
-      return run_on_host(command.image);
-    }
-    driver_.wait_for_space(dev, depth - 1);
-  }
+  if (accel.in_flight() >= depth) driver_.wait_for_space(dev, depth - 1);
 
   offloaded_.add();
   TDO_RETURN_IF_ERROR(driver_.submit_queued(command.image, dev));
@@ -211,7 +198,6 @@ StreamReport CimStream::report() const {
   rep.offloaded = offloaded_.value();
   rep.cpu_fallbacks = cpu_fallbacks_.value();
   rep.fallbacks_threshold = fallbacks_threshold_.value();
-  rep.fallbacks_queue_full = fallbacks_queue_full_.value();
   rep.syncs = syncs_.value();
   rep.hazard_syncs = hazard_syncs_.value();
   rep.device_drains = device_drains_.value();
@@ -237,8 +223,6 @@ StreamReport CimStream::report() const {
     rep.residency_misses = res.misses;
     rep.residency_evictions = res.evictions;
     rep.residency_invalidations = res.invalidations;
-    rep.residency_prefetches = res.prefetches;
-    rep.residency_prefetch_hits = res.prefetch_hits;
     rep.residency_migrations = res.migrations;
   }
   return rep;

@@ -11,8 +11,9 @@
 //
 // Like Intel's DSA Transparent Offload library, the dispatch decision is
 // dynamic: a command whose runtime MACs-per-CIM-write falls below the
-// configured threshold — or that arrives while the work queue is full —
-// executes on the host CPU model instead (see DESIGN.md, "Command streams").
+// configured threshold executes on the host CPU model instead; one that
+// arrives while the work queue is full waits for space (see DESIGN.md,
+// "Command streams").
 //
 // Host<->device copies are stream commands too (Command::Kind::kCopy):
 // the transfer engine (runtime/xfer.hpp) plans them, and they execute on
@@ -50,9 +51,6 @@ struct StreamParams {
   /// Dynamic offload threshold on a command's MACs-per-CIM-write (DTO's
   /// DTO_MIN_BYTES analogue). 0 disables CPU fallback by intensity.
   double min_macs_per_write = 0.0;
-  /// When the chosen accelerator's queue is full: true falls back to the
-  /// host CPU (DTO's ENQ-retry behaviour), false blocks for space.
-  bool fallback_when_full = false;
   /// Stats prefix (one stream per runtime; rename when running several).
   std::string name = "stream";
 };
@@ -63,7 +61,6 @@ struct StreamReport {
   std::uint64_t offloaded = 0;
   std::uint64_t cpu_fallbacks = 0;
   std::uint64_t fallbacks_threshold = 0;
-  std::uint64_t fallbacks_queue_full = 0;
   std::uint64_t syncs = 0;
   std::uint64_t hazard_syncs = 0;
   /// Single-accelerator drains issued by per-stripe copy-back (the other
@@ -93,10 +90,7 @@ struct StreamReport {
   std::uint64_t residency_misses = 0;
   std::uint64_t residency_evictions = 0;
   std::uint64_t residency_invalidations = 0;
-  /// Prefetch-on-miss speculations issued / paid off, and entries re-homed
-  /// accelerator-to-accelerator (peer-to-peer migration).
-  std::uint64_t residency_prefetches = 0;
-  std::uint64_t residency_prefetch_hits = 0;
+  /// Entries re-homed accelerator-to-accelerator (peer-to-peer migration).
   std::uint64_t residency_migrations = 0;
   /// 8-bit weight programs the devices skipped through stationary-tile
   /// reuse (summed across accelerators; the device-side ground truth).
@@ -129,11 +123,12 @@ class CimStream {
 
   CimStream(StreamParams params, sim::System& system, CimDriver& driver);
 
-  /// Dispatches one command: host CPU when below the intensity threshold or
-  /// the queue is full (and fallback is allowed), otherwise into an
-  /// accelerator work queue. Returns once the command is accepted — device
-  /// execution completes asynchronously. Driver-thread only: the simulator
-  /// underneath is single-threaded; other threads use enqueue_from_thread.
+  /// Dispatches one command: host CPU when below the intensity threshold
+  /// (and fallback is allowed), otherwise into an accelerator work queue,
+  /// waiting for space when it is full. Returns once the command is
+  /// accepted — device execution completes asynchronously. Driver-thread
+  /// only: the simulator underneath is single-threaded; other threads use
+  /// enqueue_from_thread.
   support::Status enqueue(const Command& command);
 
   /// Thread-safe submission: pushes the command into the caller's shard of
@@ -275,7 +270,6 @@ class CimStream {
   support::ShardedCounter offloaded_;
   support::ShardedCounter cpu_fallbacks_;
   support::ShardedCounter fallbacks_threshold_;
-  support::ShardedCounter fallbacks_queue_full_;
   support::ShardedCounter syncs_;
   support::ShardedCounter hazard_syncs_;
   support::ShardedCounter device_drains_;

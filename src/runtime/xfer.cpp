@@ -193,7 +193,7 @@ bool XferEngine::plan_view(CopyDesc::Dir dir, sim::VirtAddr dst,
     segments.push_back(seg);
   }
 
-  if (segments.size() > params_.max_segments) return false;
+  if (segments.size() > kMaxCopySegments) return false;
   desc->dir = dir;
   desc->segments = std::move(segments);
   desc->table_pa = 0;
@@ -229,11 +229,6 @@ support::Status XferEngine::host_copy_row(sim::VirtAddr dst, sim::VirtAddr src,
     done += n;
   }
   return support::Status::ok();
-}
-
-support::Status XferEngine::host_copy(sim::VirtAddr dst, sim::VirtAddr src,
-                                      std::uint64_t bytes) {
-  return host_copy_2d(dst, src, bytes, bytes, 1);
 }
 
 support::Status XferEngine::host_copy_2d(sim::VirtAddr dst, sim::VirtAddr src,

@@ -152,11 +152,12 @@ struct XferParams {
   /// so a large scattered copy with one tiny tail segment still rides the
   /// stream instead of falling back to host memcpy.
   std::uint64_t min_async_bytes = 16 * 1024;
-  /// Chains longer than this fall back to the host path (a bound on the
-  /// descriptor table the device walks; severe fragmentation is better
-  /// served by the cache-warm host loop anyway).
-  std::uint32_t max_segments = 64;
 };
+
+/// Copy chains longer than this fall back to the host path (a bound on the
+/// descriptor table the device walks; severe fragmentation is better served
+/// by the cache-warm host loop anyway).
+inline constexpr std::size_t kMaxCopySegments = 64;
 
 /// Plans and executes host<->device copies for the runtime. Owns the
 /// host-side memcpy cost model; asynchronous copies are handed to the
@@ -174,8 +175,9 @@ class XferEngine {
   /// Returns the DMA descriptor chain for [src, src+bytes) ->
   /// [dst, dst+bytes) when the copy is async-eligible: async copies enabled,
   /// the transfer clears the size threshold, and the footprint resolves to
-  /// at most max_segments physically contiguous runs (page-scattered buffers
-  /// become scatter-gather chains instead of falling back to host memcpy).
+  /// at most kMaxCopySegments physically contiguous runs (page-scattered
+  /// buffers become scatter-gather chains instead of falling back to host
+  /// memcpy).
   /// Returns false (desc untouched) otherwise.
   [[nodiscard]] bool plan(CopyDesc::Dir dir, sim::VirtAddr dst,
                           sim::VirtAddr src, std::uint64_t bytes,
@@ -193,11 +195,8 @@ class XferEngine {
 
   /// Blocking host-performed copy through the cache hierarchy (the paper's
   /// original path, and the fallback for small or over-fragmented
-  /// transfers).
-  support::Status host_copy(sim::VirtAddr dst, sim::VirtAddr src,
-                            std::uint64_t bytes);
-
-  /// Pitched host copy (one accounting unit, not `rows` separate copies).
+  /// transfers): `rows` rows of `width` bytes, `pitch` bytes apart, booked
+  /// as one accounting unit, not `rows` separate copies.
   support::Status host_copy_2d(sim::VirtAddr dst, sim::VirtAddr src,
                                std::uint64_t pitch, std::uint64_t width,
                                std::uint64_t rows);

@@ -116,9 +116,6 @@ struct Completion {
   std::uint32_t batch_size = 1;  ///< requests coalesced into its launch
 
   [[nodiscard]] support::Duration latency() const { return done - arrival; }
-  [[nodiscard]] support::Duration queue_delay() const {
-    return dispatch - arrival;
-  }
 };
 
 }  // namespace tdo::serve

@@ -51,7 +51,6 @@ class Mmu {
   [[nodiscard]] bool is_contiguous(VirtAddr va, std::uint64_t bytes) const;
 
   [[nodiscard]] const CmaRegion& cma_region() const { return cma_; }
-  [[nodiscard]] std::uint64_t mapped_pages() const { return table_.size(); }
   [[nodiscard]] std::uint64_t free_frames() const { return free_frames_.size(); }
 
  private:

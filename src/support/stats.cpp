@@ -222,12 +222,4 @@ void StatsRegistry::dump(std::ostream& os) const {
   }
 }
 
-std::vector<std::string> StatsRegistry::counter_names() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const Entry& entry : counters_) names.push_back(entry.name);
-  return names;
-}
-
 }  // namespace tdo::support

@@ -160,9 +160,6 @@ class StatsRegistry {
   [[nodiscard]] StatsSnapshot snapshot() const;
   void dump(std::ostream& os) const;
 
-  /// Names in registration order (stable output for tests and reports).
-  [[nodiscard]] std::vector<std::string> counter_names() const;
-
  private:
   /// Exactly one of the pointers is set per entry.
   struct Entry {

@@ -163,6 +163,37 @@ kernel k(N = 8) {
 )");
 }
 
+// A subscript that overflows a non-leading dimension stays inside the array
+// when flattened (A[0][4] is A[1][0]), so only the per-dimension check
+// catches it: the run stops at the first such access, before B[0][3] is
+// written, and names the array and the dimension.
+TEST(InterpreterTest, InnerSubscriptPastItsDimensionFailsInsteadOfWrapping) {
+  sim::System system;
+  Interpreter interp{system, nullptr};
+  const Program program = program_from(R"(
+kernel k(N = 4) {
+  array float A[N][N];
+  array float B[N][N];
+  for (i = 0; i < N; i++)
+    for (j = 0; j < N; j++)
+      B[i][j] = A[i][j + 1];
+}
+)");
+  ASSERT_TRUE(interp.prepare(program).is_ok());
+  std::vector<float> a(16);
+  for (std::size_t e = 0; e < a.size(); ++e) a[e] = static_cast<float>(e + 1);
+  ASSERT_TRUE(interp.set_array("A", a).is_ok());
+  const auto status = interp.run(program);
+  EXPECT_EQ(status.code(), support::StatusCode::kOutOfRange);
+  EXPECT_NE(status.to_string().find("array A dimension 1"), std::string::npos)
+      << status.to_string();
+  const auto b = interp.get_array("B");
+  ASSERT_TRUE(b.is_ok());
+  EXPECT_FLOAT_EQ((*b)[2], a[3]);   // B[0][2] = A[0][3], the last legal read
+  EXPECT_FLOAT_EQ((*b)[3], 0.0f);   // B[0][3] = A[0][4] never happened
+  EXPECT_EQ(interp.statements_executed(), 4u);
+}
+
 // --- cost model behaviour ---
 
 [[nodiscard]] std::uint64_t run_and_count_insts(const std::string& source,

@@ -31,7 +31,6 @@ SloParams tight_slo_params() {
   params.fast_window_ticks = 5'000'000;    // 5 us
   params.slow_window_ticks = 15'000'000;   // 15 us
   params.burn_threshold = 1.0;
-  params.counter_prefix = "serve";
   return params;
 }
 

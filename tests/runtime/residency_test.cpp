@@ -332,72 +332,5 @@ TEST(ResidencyTest, ServingLoopRegression) {
       << "cached run diverged from the always-reprogram run";
 }
 
-/// Request-serial serving loop over a cyclic tile sequence longer than the
-/// cache (classic LRU thrash): W weight sets, capacity W-1 tiles. Returns
-/// total elapsed picoseconds plus the residency report.
-struct PrefetchResult {
-  double picoseconds = 0.0;
-  ResidencyReport residency;
-  std::vector<float> output;
-};
-
-PrefetchResult run_prefetch_loop(bool prefetch_on_miss) {
-  RuntimeConfig config = residency_config(/*depth=*/2, /*capacity_rows=*/128);
-  config.residency.prefetch_on_miss = prefetch_on_miss;
-  Platform p{config};
-  EXPECT_TRUE(p.runtime().init(0).is_ok());
-  // Stationary A^T tiles: the weight phase's strided column reads make the
-  // prefetchable DMA slice substantial, which is exactly what the chained
-  // kProgram hides under the predecessor's stream phase.
-  const std::size_t m = 64, n = 64, k = 64;
-  constexpr std::size_t kSets = 3;       // 3 x 64-row tiles vs 128-row cache
-  constexpr std::size_t kRequests = 36;  // 12 full cycles
-  std::vector<sim::VirtAddr> va_a(kSets);
-  for (std::size_t w = 0; w < kSets; ++w) {
-    va_a[w] = p.upload(random_matrix(m * k, 1.0, 300 + w));
-  }
-  const auto va_b = p.upload(random_matrix(k * n, 1.0, 310));
-  const auto va_c = p.device_zeros(m * n);
-
-  const auto t0 = p.system().global_time();
-  for (std::size_t r = 0; r < kRequests; ++r) {
-    // Request-serial (one outstanding request, host thinks between them):
-    // the window where prefetch-on-miss hides the successor's programming.
-    EXPECT_TRUE(p.runtime()
-                    .sgemm_with_stationary(m, n, k, 1.0f, va_a[r % kSets], k,
-                                           va_b, n, 0.0f, va_c, n,
-                                           cim::StationaryOperand::kA,
-                                           /*cacheable=*/true)
-                    .is_ok());
-    EXPECT_TRUE(p.runtime().synchronize().is_ok());
-  }
-  PrefetchResult result;
-  result.picoseconds = (p.system().global_time() - t0).picoseconds();
-  result.residency = p.runtime().residency().report();
-  result.output = p.read_floats(va_c, m * n);
-  return result;
-}
-
-TEST(ResidencyTest, PrefetchOnMissHidesSuccessorProgramming) {
-  const PrefetchResult off = run_prefetch_loop(false);
-  const PrefetchResult on = run_prefetch_loop(true);
-
-  // Without the predictor the cyclic loop thrashes: every request misses.
-  EXPECT_EQ(off.residency.hits, 0u);
-  EXPECT_EQ(off.residency.prefetch_hits, 0u);
-  // With it, the successor tile is programmed during the current request
-  // and most requests land as prefetch hits.
-  EXPECT_GT(on.residency.prefetches, 0u);
-  EXPECT_GT(on.residency.prefetch_hits, 0u);
-  EXPECT_GT(on.residency.hits, off.residency.hits);
-  // The acceptance bar: strictly fewer stall ticks end-to-end.
-  EXPECT_LT(on.picoseconds, off.picoseconds);
-  // Speculative programming must never change results.
-  ASSERT_EQ(on.output.size(), off.output.size());
-  EXPECT_EQ(0, std::memcmp(on.output.data(), off.output.data(),
-                           on.output.size() * sizeof(float)))
-      << "prefetching changed the computed output";
-}
-
 }  // namespace
 }  // namespace tdo::rt

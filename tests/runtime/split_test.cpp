@@ -202,15 +202,6 @@ TEST(AdmissionSplitLadderTest, RetuneTracksDeviceToHostLatencyRatio) {
     EXPECT_DOUBLE_EQ(admission.split_fraction_for(serve::SiteKey{8, 8, 8, 0}),
                      0.25);
   }
-  {
-    // tune_split off: the knob never moves.
-    serve::AdmissionParams params;
-    params.tune_split = false;
-    serve::AdmissionController admission{params, 0.0, 1024};
-    admission.observe(site, true, Duration::from_us(100.0), macs, 64 * 64);
-    admission.observe(site, false, Duration::from_us(100.0), macs, 0);
-    EXPECT_DOUBLE_EQ(admission.split_fraction(), 0.0);
-  }
 }
 
 }  // namespace

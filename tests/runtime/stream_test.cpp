@@ -1,5 +1,5 @@
 // Tests for the asynchronous command stream: enqueue/drain ordering, the
-// dynamic CPU-fallback policy (intensity threshold and queue-full), the
+// dynamic CPU-fallback policy (intensity threshold), the
 // multi-accelerator round robin, and the overlap regression that backs the
 // ablation_double_buffer bench.
 #include <gtest/gtest.h>
@@ -57,45 +57,6 @@ TEST(StreamTest, EnqueueDrainPreservesDependencyOrder) {
   EXPECT_LT(max_abs_error(got, want), 0.15);
   EXPECT_EQ(p.accel().jobs_completed(), 2u);
   EXPECT_FALSE(p.accel().has_work());
-}
-
-TEST(StreamTest, QueueFullFallsBackToCpuWhenAllowed) {
-  RuntimeConfig config;
-  config.stream.depth = 1;
-  config.stream.fallback_when_full = true;
-  Platform p{config};
-  ASSERT_TRUE(p.runtime().init(0).is_ok());
-  const std::size_t m = 8, n = 8, k = 8;
-  const auto a = random_matrix(m * k, 1.0, 21);
-  const auto b = random_matrix(k * n, 1.0, 22);
-  const auto va_a = p.upload(a);
-  const auto va_b = p.upload(b);
-  const auto va_c1 = p.device_zeros(m * n);
-  const auto va_c2 = p.device_zeros(m * n);
-
-  // First command occupies the single in-flight slot; the second arrives
-  // while the queue is full and must execute on the host CPU model.
-  ASSERT_TRUE(p.runtime()
-                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c1, n,
-                               cim::StationaryOperand::kB)
-                  .is_ok());
-  ASSERT_TRUE(p.runtime()
-                  .sgemm_async(m, n, k, 1.0f, va_a, k, va_b, n, 0.0f, va_c2, n,
-                               cim::StationaryOperand::kB)
-                  .is_ok());
-  ASSERT_TRUE(p.runtime().synchronize().is_ok());
-
-  const auto report = p.runtime().stream().report();
-  EXPECT_EQ(report.enqueued, 2u);
-  EXPECT_EQ(report.cpu_fallbacks, 1u);
-  EXPECT_EQ(report.fallbacks_queue_full, 1u);
-  EXPECT_EQ(p.accel().jobs_completed(), 1u);
-
-  std::vector<float> want(m * n, 0.0f);
-  ref_gemm(m, n, k, 1.0f, a, k, b, n, 0.0f, want, n);
-  // The device result is quantized; the host-fallback result is exact.
-  EXPECT_LT(max_abs_error(p.read_floats(va_c1, m * n), want), 0.15);
-  EXPECT_LT(max_abs_error(p.read_floats(va_c2, m * n), want), 1e-5);
 }
 
 TEST(StreamTest, IntensityThresholdRoutesThinJobsToCpu) {
@@ -238,19 +199,21 @@ TEST(StreamTest, StreamDepthTwoBeatsSerializedSchedule) {
 
 TEST(StreamTest, WarHazardSynchronizesBeforeOverwritingQueuedInput) {
   // Call 2 sits in the work queue still *reading* X (its functional launch
-  // is deferred to the completion chain); call 3 wants to *write* X and,
-  // with the queue full, would run on the host CPU immediately. Without WAR
-  // ordering it would clobber X before call 2 reads it.
+  // is deferred to the completion chain); call 3 wants to *write* rows of X
+  // and, below the intensity threshold, would run on the host CPU
+  // immediately. Without WAR ordering it would clobber X before call 2
+  // reads it. MACs-per-write of a stationary-B GEMM is m: the readers'
+  // m = 16 clears a threshold of 8, the writer's m = 4 does not.
   RuntimeConfig config;
   config.stream.depth = 2;
-  config.stream.fallback_when_full = true;
+  config.stream.min_macs_per_write = 8.0;
   Platform p{config};
   ASSERT_TRUE(p.runtime().init(0).is_ok());
-  const std::size_t m = 16;
+  const std::size_t m = 16, w = 4;
   const auto a1 = random_matrix(m * 256, 1.0, 81);
   const auto b1 = random_matrix(256 * m, 1.0, 82);
   const auto x0 = random_matrix(m * 256, 1.0, 83);
-  const auto a3 = random_matrix(m * m, 1.0, 84);
+  const auto a3 = random_matrix(w * m, 1.0, 84);
   const auto b3 = random_matrix(m * 256, 1.0, 85);
   const auto va_a1 = p.upload(a1);
   const auto va_b1 = p.upload(b1);
@@ -269,14 +232,17 @@ TEST(StreamTest, WarHazardSynchronizesBeforeOverwritingQueuedInput) {
                   .sgemm_async(m, m, 256, 1.0f, va_x, 256, va_b1, m, 0.0f,
                                va_c2, m, cim::StationaryOperand::kB)
                   .is_ok());
-  // Writer of X: must order after the queued reader, not run early.
+  // Writer of X's first rows: must order after the queued reader, not run
+  // early.
   ASSERT_TRUE(p.runtime()
-                  .sgemm_async(m, 256, m, 1.0f, va_a3, m, va_b3, 256, 0.0f,
+                  .sgemm_async(w, 256, m, 1.0f, va_a3, m, va_b3, 256, 0.0f,
                                va_x, 256, cim::StationaryOperand::kB)
                   .is_ok());
   ASSERT_TRUE(p.runtime().synchronize().is_ok());
 
-  EXPECT_GE(p.runtime().stream().report().hazard_syncs, 1u);
+  const auto report = p.runtime().stream().report();
+  EXPECT_EQ(report.fallbacks_threshold, 1u);  // the writer ran on the host
+  EXPECT_GE(report.hazard_syncs, 1u);
   std::vector<float> want(m * m, 0.0f);
   ref_gemm(m, m, 256, 1.0f, x0, 256, b1, m, 0.0f, want, m);
   EXPECT_LT(max_abs_error(p.read_floats(va_c2, m * m), want), 1.2)
